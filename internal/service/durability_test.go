@@ -49,22 +49,27 @@ func bootServer(t *testing.T, cfg Config) (*Server, func() error) {
 }
 
 // feedDurable pushes a deterministic multi-identity trace through the
-// registry (journaling it) and fires two detection rounds.
+// registry (journaling it in the ingest applier's batches) and fires two
+// detection rounds.
 func feedDurable(t *testing.T, srv *Server) {
 	t.Helper()
 	reg := srv.Registry()
 	for round := 0; round < 2; round++ {
+		var obs []Observation
 		for i := 0; i < 50; i++ {
 			tms := int64(round)*5000 + int64(i)*100
 			wave := -60 - float64(i%9)
 			for _, id := range []vanet.NodeID{101, 102} {
-				if err := reg.Observe(Observation{Recv: 9, Sender: id, TMs: tms, RSSI: wave}); err != nil {
-					t.Fatal(err)
-				}
+				obs = append(obs, Observation{Recv: 9, Sender: id, TMs: tms, RSSI: wave})
 			}
-			if err := reg.Observe(Observation{Recv: 9, Sender: 1, TMs: tms, RSSI: -55 - float64((i*3)%11)}); err != nil {
+			obs = append(obs, Observation{Recv: 9, Sender: 1, TMs: tms, RSSI: -55 - float64((i*3)%11)})
+		}
+		for len(obs) > 0 {
+			n := min(len(obs), journalChunk)
+			if err := reg.observeBatch(obs[:n]); err != nil {
 				t.Fatal(err)
 			}
+			obs = obs[n:]
 		}
 		for _, out := range srv.DetectNow() {
 			if out.Err != nil {

@@ -2,11 +2,64 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// referenceParseObservation is the observation decoder without its fast
+// path: json.Unmarshal plus the shared validation.
+func referenceParseObservation(line []byte) (Observation, error) {
+	var o Observation
+	if err := json.Unmarshal(line, &o); err != nil {
+		return Observation{}, fmt.Errorf("%w: %v", ErrMalformed, err)
+	}
+	if err := validateObservation(o); err != nil {
+		return Observation{}, err
+	}
+	return o, nil
+}
+
+// FuzzParseObservation checks ParseObservation against the
+// json.Unmarshal reference on arbitrary bytes. Contracts: the
+// accept/reject decision matches; every rejection is ErrMalformed with
+// the reference's exact error string; and accepted fields are
+// bit-identical — floats compared by Float64bits, so -0 and +0 differ —
+// with the same Pos nil-ness.
+func FuzzParseObservation(f *testing.F) {
+	for _, line := range canonicalObservationLines {
+		f.Add([]byte(line))
+	}
+	for _, line := range fallbackObservationLines {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := ParseObservation(data)
+		want, wantErr := referenceParseObservation(data)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("ParseObservation(%q) err = %v, reference err = %v", data, err, wantErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) || err.Error() != wantErr.Error() {
+				t.Fatalf("ParseObservation(%q) err = %q, want ErrMalformed %q", data, err, wantErr)
+			}
+			return
+		}
+		if got.Recv != want.Recv || got.Sender != want.Sender || got.TMs != want.TMs ||
+			got.Schema != want.Schema || !sameBits(got.RSSI, want.RSSI) ||
+			(got.Pos == nil) != (want.Pos == nil) ||
+			got.Pos != nil && (!sameBits(got.Pos.X, want.Pos.X) || !sameBits(got.Pos.Y, want.Pos.Y)) {
+			t.Fatalf("ParseObservation(%q) = %+v pos %v, reference %+v pos %v",
+				data, got, got.Pos, want, want.Pos)
+		}
+	})
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // FuzzDecodeEvent hammers the consumer-side verdict decoder with
 // arbitrary bytes. Contracts: it never panics, every rejection is

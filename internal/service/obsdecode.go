@@ -1,0 +1,314 @@
+package service
+
+import (
+	"math"
+	"strconv"
+
+	"voiceprint/internal/vanet"
+)
+
+// This file is ParseObservation's fast path: a hand-written scanner for
+// the canonical observation line, the shape json.Marshal(Observation)
+// emits, with any JSON whitespace between tokens. It recognizes exactly
+// the lower-case keys recv, sender, t_ms and rssi (all required), the
+// optional schema, and the optional pos object holding exactly x and y;
+// each key at most once, in any order, with numeric values only.
+//
+// It never rejects a line. Whenever it is not certain that
+// encoding/json would decode the line to the same values it declines
+// (ok == false) and ParseObservation falls back to json.Unmarshal, so
+// every error, and every value json would accept that the scanner does
+// not, comes from the general path. Reasons to decline include a
+// case-variant or escaped key (json matches keys case-insensitively),
+// an unknown or duplicate key, null or any non-number value, a pos
+// without both coordinates, an integer out of its field's range, a
+// number outside the strict JSON grammar, and trailing bytes.
+
+// Key bits of the canonical decoder, for duplicate and required-key
+// tracking.
+const (
+	keyRecv = 1 << iota
+	keySender
+	keyTMs
+	keyRSSI
+	keySchema
+	keyPos
+
+	keysRequired = keyRecv | keySender | keyTMs | keyRSSI
+)
+
+// obsScanner is a cursor over one line.
+type obsScanner struct {
+	b []byte
+	i int
+}
+
+// scanObservation decodes line if it is a canonical observation line;
+// false means "not decided here", never "malformed". Validation
+// (negative t_ms, schema range, non-finite values) is left to the
+// caller, which applies it to both paths alike.
+//
+// voiceprintvet:noescape
+func scanObservation(line []byte) (Observation, bool) {
+	var o Observation
+	var seen uint8
+	var x, y float64
+	s := obsScanner{b: line}
+	if !s.next('{') {
+		return Observation{}, false
+	}
+	for more := true; more; more = s.next(',') {
+		k, ok := s.key()
+		if !ok {
+			return Observation{}, false
+		}
+		var bit uint8
+		switch string(k) {
+		case "recv":
+			bit, ok = keyRecv, s.readUint32(&o.Recv)
+		case "sender":
+			bit, ok = keySender, s.readUint32(&o.Sender)
+		case "t_ms":
+			bit, ok = keyTMs, s.readInt64(&o.TMs)
+		case "rssi":
+			bit, ok = keyRSSI, s.readFloat(&o.RSSI)
+		case "schema":
+			var v int64
+			bit, ok = keySchema, s.readInt64(&v)
+			o.Schema = int(v)
+			ok = ok && int64(o.Schema) == v
+		case "pos":
+			bit, ok = keyPos, s.position(&x, &y)
+		default:
+			return Observation{}, false
+		}
+		if !ok || seen&bit != 0 {
+			return Observation{}, false
+		}
+		seen |= bit
+	}
+	if !s.next('}') || seen&keysRequired != keysRequired {
+		return Observation{}, false
+	}
+	if s.skipSpace(); s.i != len(s.b) {
+		return Observation{}, false
+	}
+	if seen&keyPos != 0 {
+		o.Pos = newPosition(x, y)
+	}
+	return o, true
+}
+
+// newPosition is the schema-1 path's one allocation, kept out of line so
+// the heap site stays in this frame rather than being inlined into the
+// escape-budgeted scanner.
+//
+//go:noinline
+func newPosition(x, y float64) *Position { return &Position{X: x, Y: y} }
+
+// position decodes a pos object holding exactly one x and one y.
+//
+// voiceprintvet:noescape
+func (s *obsScanner) position(x, y *float64) bool {
+	if !s.next('{') {
+		return false
+	}
+	var seen uint8
+	for more := true; more; more = s.next(',') {
+		k, ok := s.key()
+		if !ok {
+			return false
+		}
+		var bit uint8
+		switch string(k) {
+		case "x":
+			bit, ok = 1, s.readFloat(x)
+		case "y":
+			bit, ok = 2, s.readFloat(y)
+		default:
+			return false
+		}
+		if !ok || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+	}
+	return seen == 3 && s.next('}')
+}
+
+// skipSpace advances past JSON whitespace.
+//
+// voiceprintvet:noescape
+func (s *obsScanner) skipSpace() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// next skips whitespace and consumes c if it comes next.
+//
+// voiceprintvet:noescape
+func (s *obsScanner) next(c byte) bool {
+	s.skipSpace()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// key consumes `"name":` and returns name's raw bytes. Escapes are not
+// decoded: a name holding a backslash matches no field, so the line
+// falls back.
+//
+// voiceprintvet:noescape
+func (s *obsScanner) key() ([]byte, bool) {
+	if !s.next('"') {
+		return nil, false
+	}
+	start := s.i
+	for s.i < len(s.b) && s.b[s.i] != '"' {
+		s.i++
+	}
+	if s.i == len(s.b) {
+		return nil, false
+	}
+	k := s.b[start:s.i]
+	s.i++
+	return k, s.next(':')
+}
+
+// number consumes one token matching the JSON number grammar
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and reports whether it
+// is an integer (no fraction or exponent). What follows the token is the
+// caller's to check.
+//
+// voiceprintvet:noescape
+func (s *obsScanner) number() (tok []byte, integer, ok bool) {
+	s.skipSpace()
+	b, i := s.b, s.i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		return nil, false, false
+	}
+	integer = true
+	if i < len(b) && b[i] == '.' {
+		j := skipDigits(b, i+1)
+		if j == i+1 {
+			return nil, false, false
+		}
+		i, integer = j, false
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := skipDigits(b, i)
+		if j == i {
+			return nil, false, false
+		}
+		i, integer = j, false
+	}
+	tok, s.i = b[s.i:i], i
+	return tok, integer, true
+}
+
+// skipDigits returns the index of the first non-digit at or after i.
+//
+// voiceprintvet:noescape
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// readUint32 decodes a non-negative integer that fits in 32 bits, the
+// values json decodes into a vanet.NodeID.
+//
+// voiceprintvet:noescape
+func (s *obsScanner) readUint32(dst *vanet.NodeID) bool {
+	tok, integer, ok := s.number()
+	if !ok || !integer || tok[0] == '-' || len(tok) > 10 {
+		return false
+	}
+	v := digitsValue(tok)
+	if v > math.MaxUint32 {
+		return false
+	}
+	*dst = vanet.NodeID(v)
+	return true
+}
+
+// readInt64 decodes an integer that fits in 64 bits, the values json
+// decodes into an int64 (and, on 64-bit platforms, an int).
+//
+// voiceprintvet:noescape
+func (s *obsScanner) readInt64(dst *int64) bool {
+	tok, integer, ok := s.number()
+	if !ok || !integer {
+		return false
+	}
+	neg := tok[0] == '-'
+	if neg {
+		tok = tok[1:]
+	}
+	// 19 digits always fit a uint64 magnitude; 20 never fit an int64.
+	if len(tok) > 19 {
+		return false
+	}
+	mag := digitsValue(tok)
+	switch {
+	case neg && mag <= 1<<63:
+		*dst = -int64(mag)
+	case !neg && mag <= math.MaxInt64:
+		*dst = int64(mag)
+	default:
+		return false
+	}
+	return true
+}
+
+// digitsValue is the value of an all-digit token of at most 19 digits.
+//
+// voiceprintvet:noescape
+func digitsValue(tok []byte) uint64 {
+	var v uint64
+	for _, c := range tok {
+		v = v*10 + uint64(c-'0')
+	}
+	return v
+}
+
+// readFloat decodes a number with strconv.ParseFloat, as json does, once
+// the token has passed the JSON grammar that ParseFloat alone does not
+// enforce (it also takes hex, "inf" and "nan"). A
+// ParseFloat error — overflow to ±Inf — declines, leaving json's own
+// error to the fallback.
+//
+// voiceprintvet:noescape
+func (s *obsScanner) readFloat(dst *float64) bool {
+	tok, _, ok := s.number()
+	if !ok {
+		return false
+	}
+	v, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return false
+	}
+	*dst = v
+	return true
+}

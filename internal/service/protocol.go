@@ -81,25 +81,52 @@ func (o Observation) T() time.Duration { return time.Duration(o.TMs) * time.Mill
 var ErrMalformed = errors.New("service: malformed observation")
 
 // ParseObservation parses and validates one NDJSON line.
+//
+// A line in canonical form (see scanObservation) is decoded by a
+// hand-written scanner without allocating; any other line goes through
+// json.Unmarshal. Both paths yield the same values and the same errors.
 func ParseObservation(line []byte) (Observation, error) {
-	var o Observation
-	if err := json.Unmarshal(line, &o); err != nil {
-		return Observation{}, fmt.Errorf("%w: %v", ErrMalformed, err)
+	o, ok := scanObservation(line)
+	if !ok {
+		var err error
+		if o, err = unmarshalObservation(line); err != nil {
+			return Observation{}, err
+		}
 	}
+	if err := validateObservation(o); err != nil {
+		return Observation{}, err
+	}
+	return o, nil
+}
+
+// validateObservation applies the checks JSON decoding alone does not.
+func validateObservation(o Observation) error {
 	if o.TMs < 0 {
-		return Observation{}, fmt.Errorf("%w: negative t_ms %d", ErrMalformed, o.TMs)
+		return fmt.Errorf("%w: negative t_ms %d", ErrMalformed, o.TMs)
 	}
 	if math.IsNaN(o.RSSI) || math.IsInf(o.RSSI, 0) {
-		return Observation{}, fmt.Errorf("%w: non-finite rssi", ErrMalformed)
+		return fmt.Errorf("%w: non-finite rssi", ErrMalformed)
 	}
 	if o.Schema < 0 || o.Schema > 1 {
-		return Observation{}, fmt.Errorf("%w: unsupported schema %d", ErrMalformed, o.Schema)
+		return fmt.Errorf("%w: unsupported schema %d", ErrMalformed, o.Schema)
 	}
 	if o.Pos != nil {
 		if math.IsNaN(o.Pos.X) || math.IsInf(o.Pos.X, 0) ||
 			math.IsNaN(o.Pos.Y) || math.IsInf(o.Pos.Y, 0) {
-			return Observation{}, fmt.Errorf("%w: non-finite pos", ErrMalformed)
+			return fmt.Errorf("%w: non-finite pos", ErrMalformed)
 		}
+	}
+	return nil
+}
+
+// unmarshalObservation is ParseObservation's general path. Its
+// Observation is its own: a variable whose address goes to
+// json.Unmarshal is moved to the heap, and sharing one with the fast
+// path would cost that allocation on every line.
+func unmarshalObservation(line []byte) (Observation, error) {
+	var o Observation
+	if err := json.Unmarshal(line, &o); err != nil {
+		return Observation{}, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	return o, nil
 }

@@ -99,19 +99,48 @@ func (r *Registry) SetJournal(l *wal.Log) { r.journal.Store(l) }
 // the monitor pipeline is deterministic). A journal append failure is
 // deliberately not fatal to the apply: availability over durability.
 func (r *Registry) Observe(o Observation) error {
+	return r.observeBatch([]Observation{o})
+}
+
+// journalChunk caps the observations one observeBatch call takes: enough
+// to spread one WAL write over a burst, few enough that the record
+// buffer stays on the stack.
+const journalChunk = 32
+
+// observeBatch is Observe over up to journalChunk observations in
+// arrival order. With a journal installed the whole run is journaled in
+// one WAL write before any of it is applied, under one hold of the
+// snapshot barrier. Every observation is applied; the first hard
+// failure is returned.
+func (r *Registry) observeBatch(obs []Observation) error {
 	if l := r.journal.Load(); l != nil {
 		l.Begin()
 		defer l.End()
-		if o.Pos != nil {
-			// Positioned beacons journal their claim even on fusion-off
-			// daemons: the kind-3 record replays as a plain observation
-			// there, and keeps the evidence for a later fusion-on restart.
-			_ = l.AppendObservationPos(o.Recv, o.Sender, o.T(), o.RSSI, o.Pos.X, o.Pos.Y)
-		} else {
-			_ = l.AppendObservation(o.Recv, o.Sender, o.T(), o.RSSI)
+		var recs [journalChunk]wal.Record
+		for i, o := range obs {
+			recs[i] = journalRecord(o)
+		}
+		_ = l.Append(recs[:len(obs)]...)
+	}
+	var first error
+	for _, o := range obs {
+		if err := r.observe(o); err != nil && first == nil {
+			first = err
 		}
 	}
-	return r.observe(o)
+	return first
+}
+
+// journalRecord is the WAL record of one observation. Positioned beacons
+// journal their claim even on fusion-off daemons: the kind-3 record
+// replays as a plain observation there, and keeps the evidence for a
+// later fusion-on restart.
+func journalRecord(o Observation) wal.Record {
+	rec := wal.Record{Kind: wal.KindObservation, Recv: o.Recv, Sender: o.Sender, T: o.T(), RSSI: o.RSSI}
+	if o.Pos != nil {
+		rec.Kind, rec.X, rec.Y = wal.KindObservationPos, o.Pos.X, o.Pos.Y
+	}
+	return rec
 }
 
 // observe is the journal-free apply path; recovery replay calls it via

@@ -573,14 +573,23 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 	}()
 
-	// Applier: drains the bounded ingest buffer into the registry.
+	// Applier: drains the bounded ingest buffer into the registry, taking
+	// whatever has queued behind each observation (up to journalChunk)
+	// in one registry call. A journaled daemon then pays one WAL write
+	// per batch rather than per line, which keeps the applier ahead of
+	// the reader so bursts do not overflow the buffer.
 	ingest := make(chan Observation, s.cfg.IngestBuffer)
 	applierDone := make(chan struct{})
 	go func() {
 		defer close(applierDone)
+		batch := make([]Observation, 0, journalChunk)
 		for o := range ingest {
-			if err := s.reg.Observe(o); err != nil {
-				clog.Warn("service: ingest error", "recv", uint64(o.Recv), "err", err)
+			batch = append(batch[:0], o)
+			for len(batch) < journalChunk && len(ingest) > 0 {
+				batch = append(batch, <-ingest)
+			}
+			if err := s.reg.observeBatch(batch); err != nil {
+				clog.Warn("service: ingest error", "err", err)
 			}
 		}
 	}()

@@ -403,22 +403,25 @@ func (l *Log) AppendRound(recv vanet.NodeID, at time.Duration) error {
 	return l.Append(Record{Kind: KindRound, Recv: recv, At: at})
 }
 
-// Append journals one record: frame, write to the active segment
-// (rotating first if it is full), and fsync per the policy. Errors are
-// counted on Stats.AppendErrors as well as returned; the caller decides
-// whether an append failure blocks the in-memory apply (the service
-// does not — availability over durability).
-func (l *Log) Append(r Record) error {
+// Append journals records in one write: frame each, write them to the
+// active segment (rotating first if it is full), and fsync per the
+// policy. Errors are counted on Stats.AppendErrors as well as returned;
+// the caller decides whether an append failure blocks the in-memory
+// apply (the service does not — availability over durability).
+func (l *Log) Append(rs ...Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.usableLocked(); err != nil {
 		cinc(l.opts.Stats.AppendErrors)
 		return err
 	}
-	buf, err := AppendRecord(l.buf[:0], r)
-	if err != nil {
-		cinc(l.opts.Stats.AppendErrors)
-		return err
+	buf := l.buf[:0]
+	for _, r := range rs {
+		var err error
+		if buf, err = AppendRecord(buf, r); err != nil {
+			cinc(l.opts.Stats.AppendErrors)
+			return err
+		}
 	}
 	l.buf = buf
 	if l.segSize >= l.opts.SegmentBytes {
@@ -436,7 +439,9 @@ func (l *Log) Append(r Record) error {
 	l.segSize += int64(len(buf))
 	l.sinceSnap += int64(len(buf))
 	l.dirty = true
-	cinc(l.opts.Stats.Appends)
+	if c := l.opts.Stats.Appends; c != nil {
+		c.Add(uint64(len(rs)))
+	}
 	gset(l.opts.Stats.SegmentBytes, l.segSize)
 	if l.opts.Policy == SyncAlways {
 		return l.syncLocked()

@@ -634,10 +634,12 @@ func TestSnapshotV1Compat(t *testing.T) {
 }
 
 // TestAppendObservationPosReplay: positioned observations journal as
-// kind-3 records and replay with their coordinates intact.
+// kind-3 records and replay with their coordinates intact, whether
+// appended one at a time or as a run in one write.
 func TestAppendObservationPosReplay(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(Options{Dir: dir})
+	var appends obs.Counter
+	l, _, err := Open(Options{Dir: dir, Stats: Stats{Appends: &appends}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,6 +648,16 @@ func TestAppendObservationPosReplay(t *testing.T) {
 	}
 	if err := l.AppendObservationPos(901, 103, 2*time.Second, -68.5, 42.5, -3.75); err != nil {
 		t.Fatal(err)
+	}
+	run := []Record{
+		{Kind: KindObservationPos, Recv: 902, Sender: 104, T: 3 * time.Second, RSSI: -80, X: 1, Y: 2},
+		{Kind: KindObservation, Recv: 902, Sender: 105, T: 3 * time.Second, RSSI: -81},
+	}
+	if err := l.Append(run...); err != nil {
+		t.Fatal(err)
+	}
+	if got := appends.Load(); got != 4 {
+		t.Errorf("appends counter = %d, want 4 (one per record)", got)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -659,6 +671,7 @@ func TestAppendObservationPosReplay(t *testing.T) {
 	want := []Record{
 		{Kind: KindObservation, Recv: 901, Sender: 102, T: time.Second, RSSI: -71},
 		{Kind: KindObservationPos, Recv: 901, Sender: 103, T: 2 * time.Second, RSSI: -68.5, X: 42.5, Y: -3.75},
+		run[0], run[1],
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("replayed %+v, want %+v", got, want)
