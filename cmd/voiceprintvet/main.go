@@ -3,7 +3,7 @@
 // the Voiceprint reproduction depends on — deterministic detection
 // output, NaN/Inf safety at every RSSI boundary, the zero-alloc
 // observer hot path, a drift-proof telemetry surface, and no internal
-// use of deprecated shims.
+// use of deprecated compatibility fields.
 //
 // Usage:
 //

@@ -1,8 +1,8 @@
-// Package deprecated forbids the repository's own packages from calling
-// its deprecated compatibility shims. The shims survive for external
-// callers of released APIs; internally every call site must be on the
-// replacement, or the deprecation can never be retired. Test files are
-// exempt — compatibility shims need coverage until they are deleted.
+// Package deprecated forbids the repository's own packages from using
+// its deprecated compatibility fields. The fields are inert and survive
+// only because the separate benchmark module (voiceprint/perfbench)
+// still names them; internally nothing may read or set them, or the
+// compatibility surface can never be retired. Test files are exempt.
 package deprecated
 
 import (
@@ -13,38 +13,34 @@ import (
 	"voiceprint/internal/analysis/vet"
 )
 
-// entry names one deprecated object and its replacement.
+// entry names one deprecated struct field and why it must not be used.
 type entry struct {
 	pkg  string // declaring package path
-	recv string // receiver/struct type name; "" for package-level funcs
+	recv string // declaring struct type name
 	name string
-	use  string // suggested replacement
+	why  string
 }
 
-// table lists the deprecated internal APIs. Extend it when deprecating;
-// the declaring package itself is always exempt (it implements the
-// shim).
+// table lists the deprecated internal fields. Extend it when
+// deprecating; the declaring package itself is always exempt (it keeps
+// the field).
 var table = []entry{
 	{
-		pkg: "voiceprint/internal/service", recv: "", name: "AdminHandler",
-		use: "NewAdminHandler with an AdminConfig",
+		pkg: "voiceprint/internal/core", recv: "MonitorConfig", name: "DisablePairCache",
+		why: "it has no effect (the dirty-pair cache was removed)",
 	},
 	{
-		pkg: "voiceprint/internal/service", recv: "Config", name: "Logf",
-		use: "Config.Logger (log/slog)",
-	},
-	{
-		pkg: "voiceprint/internal/core", recv: "Monitor", name: "ObserveClamped",
-		use: "MonitorConfig.ReorderTolerance with Observe",
+		pkg: "voiceprint/internal/service", recv: "Metrics", name: "PairsReusedDirty",
+		why: "it always reads zero and is not exported (the dirty-pair cache was removed)",
 	},
 }
 
 // Analyzer is the deprecated-internal checker.
 var Analyzer = &vet.Analyzer{
 	Name: "deprecated",
-	Doc: "forbid internal packages from using our own deprecated APIs\n\n" +
-		"Logf, ObserveClamped and AdminHandler survive only as compatibility " +
-		"shims for external callers; internal code must use the replacements.",
+	Doc: "forbid internal packages from using our own deprecated fields\n\n" +
+		"MonitorConfig.DisablePairCache and Metrics.PairsReusedDirty are inert " +
+		"and survive only because the benchmark module names them.",
 	AppliesTo: func(pkgPath string) bool {
 		return pkgPath == "voiceprint" || strings.HasPrefix(pkgPath, "voiceprint/")
 	},
@@ -58,45 +54,18 @@ func run(pass *vet.Pass) error {
 		if !ok {
 			return true
 		}
-		obj := pass.TypesInfo.Uses[id]
-		if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() == self {
+		// Fields are referenced by selection or as a composite-literal
+		// key; both land in Uses.
+		obj, ok := pass.TypesInfo.Uses[id].(*types.Var)
+		if !ok || !obj.IsField() || obj.Pkg() == nil || obj.Pkg().Path() == self {
 			return true
 		}
 		for _, e := range table {
-			if obj.Name() != e.name || obj.Pkg().Path() != e.pkg {
-				continue
-			}
-			if matches(obj, e) {
-				pass.Reportf(id.Pos(), "%s is deprecated for internal use: use %s", qualified(e), e.use)
+			if obj.Name() == e.name && obj.Pkg().Path() == e.pkg {
+				pass.Reportf(id.Pos(), "%s.%s is deprecated for internal use: %s", e.recv, e.name, e.why)
 			}
 		}
 		return true
 	})
 	return nil
-}
-
-func matches(obj types.Object, e entry) bool {
-	switch obj := obj.(type) {
-	case *types.Func:
-		sig, ok := obj.Type().(*types.Signature)
-		if !ok {
-			return false
-		}
-		if e.recv == "" {
-			return sig.Recv() == nil
-		}
-		return sig.Recv() != nil && vet.IsNamed(sig.Recv().Type(), e.pkg, e.recv)
-	case *types.Var:
-		// Struct field (e.g. Config.Logf), referenced by selection or as
-		// a composite-literal key.
-		return e.recv != "" && obj.IsField()
-	}
-	return false
-}
-
-func qualified(e entry) string {
-	if e.recv == "" {
-		return e.pkg + "." + e.name
-	}
-	return e.recv + "." + e.name
 }

@@ -12,7 +12,7 @@ func TestInternalCallers(t *testing.T) {
 }
 
 func TestExternalCallersExempt(t *testing.T) {
-	// The shims survive precisely for code outside the module; the same
+	// The fields survive precisely for code outside the module; the same
 	// fixture under an external import path must be clean.
 	vettest.RunExpectClean(t, deprecated.Analyzer, "testdata/src/fixture", "example.com/consumer")
 }

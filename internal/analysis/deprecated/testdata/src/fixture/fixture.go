@@ -1,23 +1,23 @@
 // Fixture for the deprecated-internal analyzer checked as an internal
 // voiceprint package (see deprecated_test.go; external import paths are
-// exempt — the shims exist for them).
+// exempt — the fields are kept for them).
 package fixture
 
 import (
-	"net/http"
-	"time"
-
 	"voiceprint/internal/core"
 	"voiceprint/internal/service"
 )
 
-func useShims(m *core.Monitor, cfg service.Config) http.Handler {
-	_ = m.ObserveClamped(1, 0, -70, time.Second) // want "Monitor.ObserveClamped is deprecated for internal use"
-	_ = cfg.Logf // want "Config.Logf is deprecated for internal use"
-	return service.AdminHandler(nil, nil) // want "voiceprint/internal/service.AdminHandler is deprecated for internal use"
+func useInert(cfg core.MonitorConfig, m *service.Metrics) uint64 {
+	_ = cfg.DisablePairCache         // want "MonitorConfig.DisablePairCache is deprecated for internal use"
+	return m.PairsReusedDirty.Load() // want "Metrics.PairsReusedDirty is deprecated for internal use"
 }
 
-func replacementsOK(m *core.Monitor, reg *service.Registry) http.Handler {
-	_ = m.Observe(1, 0, -70)
-	return service.NewAdminHandler(service.AdminConfig{Registry: reg})
+func setInert() core.MonitorConfig {
+	return core.MonitorConfig{DisablePairCache: true} // want "MonitorConfig.DisablePairCache is deprecated for internal use"
+}
+
+func replacementsOK(cfg core.MonitorConfig, m *service.Metrics) uint64 {
+	_ = cfg.Detector.LBPrune
+	return m.PairsCompared.Load() + m.PairsPrunedLB.Load()
 }

@@ -115,7 +115,7 @@ func NewInfo() *types.Info {
 
 // Run applies the analyzers to the unit and returns the surviving
 // diagnostics in position order: AppliesTo filtering, _test.go
-// filtering (test files exercise deprecated shims and seeded
+// filtering (test files exercise deprecated fields and seeded
 // nondeterminism on purpose), and //voiceprintvet:ignore suppression
 // all happen here so every driver — go vet, standalone, tests —
 // behaves identically. store carries cross-package facts; nil gets a

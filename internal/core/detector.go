@@ -237,10 +237,10 @@ type Result struct {
 	Suspects map[vanet.NodeID]bool
 	// Pairs holds every comparison, for training data harvesting
 	// (Figure 10) and diagnostics. For rounds run under a Monitor the
-	// slice is backed by the monitor's reusable pair buffer: it stays
-	// valid until the monitor's next uncached round, so callers that
-	// retain results across rounds must copy it (bare Detector rounds
-	// allocate fresh).
+	// slice is backed by the monitor's reusable pair buffer: the next
+	// round that is not served from the unchanged-round cache overwrites
+	// it, so callers that retain results across rounds must copy it
+	// (bare Detector rounds allocate fresh).
 	Pairs []PairDistance
 	// Considered lists the identities that had enough samples to compare,
 	// in ascending ID order.
@@ -265,13 +265,11 @@ type Result struct {
 	// PairsCompared counts the pairs whose DTW distance was computed in
 	// full this round (including pairs the extremes repair recomputed);
 	// PairsPrunedLB the pairs resolved by a lower bound — the LB_Keogh
-	// envelope or the banded DP's early-abandoned prefix minimum;
-	// PairsReusedDirty the pairs answered from the monitor's dirty-pair
-	// cache. The three always sum to len(Pairs), except on Cached
-	// rounds, which did no compare work and report zeros.
-	PairsCompared    int
-	PairsPrunedLB    int
-	PairsReusedDirty int
+	// envelope or the banded DP's early-abandoned prefix minimum. The two
+	// always sum to len(Pairs), except on Cached rounds, which did no
+	// compare work and report zeros.
+	PairsCompared int
+	PairsPrunedLB int
 	// Signals is the per-identity, per-signal attribution map, populated
 	// only by fusion-enabled Monitor rounds: identity -> signal name ->
 	// score (normalized DTW distance for "voiceprint", chi-square
@@ -298,7 +296,6 @@ type roundScratch struct {
 	// LB_Keogh envelope arena (two slices per identity into envVals),
 	// and the branch-and-bound working set (pair order + upper bounds).
 	state   []uint8
-	envR    int
 	envVals []float64
 	envLo   [][]float64
 	envHi   [][]float64
@@ -311,11 +308,10 @@ type roundScratch struct {
 // parallel claim loop free of shared accounting.
 const (
 	statePending   uint8 = iota // not resolved yet
-	stateReused                 // outcome served by the dirty-pair cache
 	stateExact                  // full DTW computed this round
 	statePruned                 // skipped on the LB_Keogh lower bound
 	stateAbandoned              // DP scan abandoned once its prefix bound cleared the cap
-	stateRepaired               // recomputed exactly by the extremes repair (not cached)
+	stateRepaired               // recomputed exactly by the extremes repair
 )
 
 var scratchPool = sync.Pool{New: func() any { return new(roundScratch) }}
@@ -329,9 +325,9 @@ func (d *Detector) Detect(series map[vanet.NodeID]*timeseries.Series, density fl
 	return d.detect(series, density, nil)
 }
 
-// detect is Detect plus an optional dirty-pair memo (monitor rounds pass
-// their cache; bare rounds pass nil).
-func (d *Detector) detect(series map[vanet.NodeID]*timeseries.Series, density float64, memo *pairMemo) (*Result, error) {
+// detect is Detect with a caller-owned backing array for Result.Pairs:
+// monitor rounds pass their reusable buffer, bare rounds pass nil.
+func (d *Detector) detect(series map[vanet.NodeID]*timeseries.Series, density float64, buf []PairDistance) (*Result, error) {
 	if density < 0 {
 		return nil, errors.New("core: negative density")
 	}
@@ -413,7 +409,7 @@ func (d *Detector) detect(series map[vanet.NodeID]*timeseries.Series, density fl
 		obsv.ObserveStage(StageNormalize, now.Sub(stageStart))
 		stageStart = now
 	}
-	pairs, err := d.comparePairs(sc, memo)
+	pairs, err := d.comparePairs(sc, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -424,8 +420,6 @@ func (d *Detector) detect(series map[vanet.NodeID]*timeseries.Series, density fl
 			res.PairsCompared++
 		case statePruned, stateAbandoned:
 			res.PairsPrunedLB++
-		case stateReused:
-			res.PairsReusedDirty++
 		}
 	}
 	sc.raws = sc.raws[:0]
@@ -484,27 +478,22 @@ func (d *Detector) detect(series map[vanet.NodeID]*timeseries.Series, density fl
 	return res, nil
 }
 
-// comparePairs resolves every {i < j} pair of sc.ids, fanned out across
-// Workers goroutines. Pairs are enumerated in the usual nested-loop
-// order and each goroutine writes only its preassigned slots on its own
-// dtw.Workspace, so the returned slice is deterministic (identical to
-// the sequential loop) at any worker count, any pool state, and —
-// because pruning decisions precede cache lookups — any memo warmth.
-func (d *Detector) comparePairs(sc *roundScratch, memo *pairMemo) ([]PairDistance, error) {
+// comparePairs resolves every {i < j} pair of sc.ids into buf (grown
+// when too small), fanned out across Workers goroutines. Pairs are
+// enumerated in the usual nested-loop order and each goroutine writes
+// only its preassigned slots on its own dtw.Workspace, so the returned
+// slice is deterministic (identical to the sequential loop) at any
+// worker count and any pool state.
+func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance) ([]PairDistance, error) {
 	n := len(sc.ids)
 	np := n * (n - 1) / 2
 	// The pair slice escapes inside the Result, so it cannot live in the
-	// global scratch pool; monitor rounds reuse their memo's buffer
+	// global scratch pool; monitor rounds hand in their own buffer
 	// (Result.Pairs documents the lifetime), bare rounds allocate.
-	var pairs []PairDistance
-	if memo != nil {
-		if cap(memo.pairs) < np {
-			memo.pairs = make([]PairDistance, 0, np)
-		}
-		pairs = memo.pairs[:0]
-	} else {
-		pairs = make([]PairDistance, 0, np)
+	if cap(buf) < np {
+		buf = make([]PairDistance, 0, np)
 	}
+	pairs := buf[:0]
 	sc.pairIdx = sc.pairIdx[:0]
 	if cap(sc.state) < np {
 		sc.state = make([]uint8, np)
@@ -520,9 +509,6 @@ func (d *Detector) comparePairs(sc *roundScratch, memo *pairMemo) ([]PairDistanc
 			pairs = append(pairs, pd)
 			sc.pairIdx = append(sc.pairIdx, [2]int32{int32(i), int32(j)})
 		}
-	}
-	if memo != nil {
-		memo.pairs = pairs
 	}
 	// Pruning needs a Sakoe-Chiba band (the envelope radius derives from
 	// it; the unconstrained-FastDTW ablation has no usable band) and at
@@ -548,7 +534,7 @@ func (d *Detector) comparePairs(sc *roundScratch, memo *pairMemo) ([]PairDistanc
 		ws := dtw.GetWorkspace()
 		defer dtw.PutWorkspace(ws)
 		for k := range pairs {
-			if err := d.resolvePair(ws, sc, pairs, k, prune, memo); err != nil {
+			if err := d.resolvePair(ws, sc, pairs, k, prune); err != nil {
 				return nil, err
 			}
 		}
@@ -571,7 +557,7 @@ func (d *Detector) comparePairs(sc *roundScratch, memo *pairMemo) ([]PairDistanc
 					if k >= np {
 						return
 					}
-					if err := d.resolvePair(ws, sc, pairs, k, prune, memo); err != nil {
+					if err := d.resolvePair(ws, sc, pairs, k, prune); err != nil {
 						// Record the first error and stop the whole pool:
 						// without the abort flag every worker would grind
 						// through its share of the remaining pairs before
@@ -589,25 +575,8 @@ func (d *Detector) comparePairs(sc *roundScratch, memo *pairMemo) ([]PairDistanc
 		}
 	}
 	if prune {
-		if err := d.restoreBatchExtremes(sc, pairs, memo); err != nil {
+		if err := d.restoreBatchExtremes(sc, pairs); err != nil {
 			return nil, err
-		}
-	}
-	if memo != nil {
-		// Cache write-back: only outcomes that are pure functions of the
-		// two views — exact raws and early-abandoned prefix bounds.
-		// LB_Keogh bounds are round-local (the envelope radius depends on
-		// the round's length spread) and would not reproduce; pairs the
-		// extremes repair recomputed depend on the whole batch and are
-		// not written back, so a cold cache replays the identical repair.
-		// Reused entries are already stored.
-		for k := range pairs {
-			switch sc.state[k] {
-			case stateExact:
-				memo.storeResolved(pairs[k].A, pairs[k].B, pairs[k].Raw, false)
-			case stateAbandoned:
-				memo.storeResolved(pairs[k].A, pairs[k].B, pairs[k].Raw, true)
-			}
 		}
 	}
 	return pairs, nil
@@ -632,11 +601,10 @@ func (d *Detector) fillEnvelopes(sc *roundScratch) error {
 	}
 	// Round the radius up to a bucket boundary: a wider envelope is
 	// still admissible, and a radius that holds still while the round's
-	// length spread drifts inside the bucket keeps the cached LB_Keogh
-	// bounds (keyed by this radius) valid across rounds.
+	// length spread drifts inside the bucket keeps a pair's recorded
+	// LB_Keogh bound stable from round to round.
 	envR := d.cfg.BandRadius + (maxLen - minLen) + 2
 	envR = (envR + 7) &^ 7
-	sc.envR = envR
 	need := 2 * len(sc.vals)
 	if cap(sc.envVals) < need {
 		sc.envVals = make([]float64, need)
@@ -664,15 +632,12 @@ func (d *Detector) fillEnvelopes(sc *roundScratch) error {
 }
 
 // resolvePair resolves pair k: prune on the LB_Keogh bound when it
-// already exceeds every cap the pair would need to pass, else serve the
-// cached outcome from the dirty-pair cache, else run the banded DP with
-// early abandoning against the same cap (falling back to the plain
-// comparison when pruning is off or no cap governs the pair). The
-// LB pruning decision comes before the cache lookup on purpose — it
-// depends only on the round's inputs, so Results never vary with cache
-// warmth; the abandon outcome is a pure function of the two views and
-// their cap, so caching it preserves the same property.
-func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []PairDistance, k int, prune bool, memo *pairMemo) error {
+// already exceeds every cap the pair would need to pass, else run the
+// banded DP with early abandoning against the same cap (falling back to
+// the plain comparison when pruning is off or no cap governs the pair).
+// It writes only pairs[k] and sc.state[k], so workers never share
+// mutable state.
+func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []PairDistance, k int, prune bool) error {
 	ij := sc.pairIdx[k]
 	a, b := sc.normalized[ij[0]], sc.normalized[ij[1]]
 	p := &pairs[k]
@@ -690,32 +655,14 @@ func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []Pair
 		}
 	}
 	if prune {
-		lb, cached := 0.0, false
-		if memo != nil {
-			lb, cached = memo.lookupLB(p.A, p.B, sc.envR)
+		lb := dtw.LBKeogh(a, sc.envLo[ij[1]], sc.envHi[ij[1]])
+		if lb2 := dtw.LBKeogh(b, sc.envLo[ij[0]], sc.envHi[ij[0]]); lb2 > lb {
+			lb = lb2
 		}
-		if !cached {
-			lb = dtw.LBKeogh(a, sc.envLo[ij[1]], sc.envHi[ij[1]])
-			if lb2 := dtw.LBKeogh(b, sc.envLo[ij[0]], sc.envHi[ij[0]]); lb2 > lb {
-				lb = lb2
-			}
-			lb = d.perSample(lb, a, b)
-			if memo != nil {
-				memo.storeLB(p.A, p.B, sc.envR, lb)
-			}
-		}
-		if lb > t {
+		if lb = d.perSample(lb, a, b); lb > t {
 			p.Raw = lb
 			p.Pruned = true
 			sc.state[k] = statePruned
-			return nil
-		}
-	}
-	if memo != nil {
-		if raw, pruned, ok := memo.lookup(p.A, p.B); ok {
-			p.Raw = raw
-			p.Pruned = pruned
-			sc.state[k] = stateReused
 			return nil
 		}
 	}
@@ -752,11 +699,7 @@ func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []Pair
 // in either the pruned or the exact run (a pruned pair's true raw is at
 // least its bound, which fails the caps), so normalization differences
 // are unobservable in the verdict.
-func (d *Detector) restoreBatchExtremes(sc *roundScratch, pairs []PairDistance, memo *pairMemo) error {
-	// Candidate selection goes by the Pruned flag, not the resolution
-	// state: a warm cache serves abandoned bounds as stateReused while a
-	// cold round recomputes them as stateAbandoned, and the repair must
-	// pick the same pairs either way.
+func (d *Detector) restoreBatchExtremes(sc *roundScratch, pairs []PairDistance) error {
 	hasPruned, hasAnchor := false, false
 	minE, maxE := math.Inf(1), math.Inf(-1)
 	for k := range pairs {
@@ -808,7 +751,7 @@ func (d *Detector) restoreBatchExtremes(sc *roundScratch, pairs []PairDistance, 
 		if !(pairs[k].Raw < minE) {
 			break
 		}
-		if err := d.unprune(ws, sc, pairs, int(k), memo, &minE, &maxE); err != nil {
+		if err := d.unprune(ws, sc, pairs, int(k), &minE, &maxE); err != nil {
 			return err
 		}
 	}
@@ -829,12 +772,6 @@ func (d *Detector) restoreBatchExtremes(sc *roundScratch, pairs []PairDistance, 
 	}
 	sc.ubs = sc.ubs[:len(pairs)]
 	for _, k := range sc.order {
-		if memo != nil {
-			if ub, ok := memo.lookupUB(pairs[k].A, pairs[k].B); ok {
-				sc.ubs[k] = ub
-				continue
-			}
-		}
 		ij := sc.pairIdx[k]
 		a, b := sc.normalized[ij[0]], sc.normalized[ij[1]]
 		ub, err := dtw.BandPathUpperBound(a, b, d.cfg.BandRadius)
@@ -842,9 +779,6 @@ func (d *Detector) restoreBatchExtremes(sc *roundScratch, pairs []PairDistance, 
 			return fmt.Errorf("core: upper bound %d/%d: %w", pairs[k].A, pairs[k].B, err)
 		}
 		sc.ubs[k] = d.perSample(ub, a, b)
-		if memo != nil {
-			memo.storeUB(pairs[k].A, pairs[k].B, sc.ubs[k])
-		}
 	}
 	slices.SortFunc(sc.order, func(x, y int32) int {
 		if sc.ubs[x] > sc.ubs[y] {
@@ -859,7 +793,7 @@ func (d *Detector) restoreBatchExtremes(sc *roundScratch, pairs []PairDistance, 
 		if !(sc.ubs[k] > maxE) {
 			break
 		}
-		if err := d.unprune(ws, sc, pairs, int(k), memo, &minE, &maxE); err != nil {
+		if err := d.unprune(ws, sc, pairs, int(k), &minE, &maxE); err != nil {
 			return err
 		}
 	}
@@ -868,27 +802,11 @@ func (d *Detector) restoreBatchExtremes(sc *roundScratch, pairs []PairDistance, 
 
 // unprune recomputes one pruned pair exactly and folds it into the
 // running batch extremes.
-func (d *Detector) unprune(ws *dtw.Workspace, sc *roundScratch, pairs []PairDistance, k int, memo *pairMemo, minE, maxE *float64) error {
+func (d *Detector) unprune(ws *dtw.Workspace, sc *roundScratch, pairs []PairDistance, k int, minE, maxE *float64) error {
 	ij := sc.pairIdx[k]
 	p := &pairs[k]
-	// The repair's exact value is warmth-independent either way: a cached
-	// hit replays the value a cold repair computes bit for bit, and the
-	// repair's choice of pairs was already settled by the (warmth-
-	// identical) pre-repair batch. Only the cost changes — a steady-state
-	// round repairs the recurring extreme pairs by lookup, not by DP.
-	if memo != nil {
-		if exact, ok := memo.lookupExact(p.A, p.B); ok {
-			p.Raw = exact
-		} else {
-			if err := d.comparePairAt(ws, p, sc.normalized[ij[0]], sc.normalized[ij[1]]); err != nil {
-				return err
-			}
-			memo.storeExact(p.A, p.B, p.Raw)
-		}
-	} else {
-		if err := d.comparePairAt(ws, p, sc.normalized[ij[0]], sc.normalized[ij[1]]); err != nil {
-			return err
-		}
+	if err := d.comparePairAt(ws, p, sc.normalized[ij[0]], sc.normalized[ij[1]]); err != nil {
+		return err
 	}
 	p.Pruned = false
 	sc.state[k] = stateRepaired

@@ -46,16 +46,10 @@ type Monitor struct {
 	// round's window end it fingerprints the detector input, so a round
 	// whose fingerprint matches the previous one can reuse its Result.
 	version uint64 // voiceprintvet:guardedby mu
-	// obsVer records, per identity, the version of its last accepted
-	// observation. Version is monotone across evictions, so an identity
-	// that is evicted and reappears can never repeat an old value —
-	// which makes obsVer the per-identity half of the dirty-pair cache's
-	// fingerprints (see pairMemo).
-	obsVer map[vanet.NodeID]uint64 // voiceprintvet:guardedby mu
-	// memo is the dirty-pair cache: exact pairwise raw distances keyed by
-	// the two identities' window-view fingerprints, reused for pairs
-	// provably unchanged since the previous round. nil when disabled.
-	memo *pairMemo // voiceprintvet:guardedby mu
+	// pairs backs Result.Pairs across rounds, so steady-state rounds do
+	// not allocate a fresh pair slice; Result.Pairs documents the
+	// lifetime this buys.
+	pairs []PairDistance // voiceprintvet:guardedby mu
 	// input, views and heard are reused across rounds: input is the map
 	// handed to the detector, views holds one zero-copy window header per
 	// tracked identity, heard collects the ids seen this window.
@@ -100,11 +94,9 @@ type MonitorConfig struct {
 	// a few beacon intervals so slightly late deliveries do not poison
 	// the stream.
 	ReorderTolerance time.Duration
-	// DisablePairCache turns off the dirty-pair cache, forcing every
-	// round to recompute all pairwise distances. Results are byte-
-	// identical either way (the cache stores only exact values and never
-	// influences pruning); the knob exists for memory-constrained
-	// deployments and for the equivalence tests that prove that claim.
+	// Deprecated: DisablePairCache has no effect; the dirty-pair cache it
+	// switched off was removed. It is kept only because the benchmark
+	// module (perfbench) still names it.
 	DisablePairCache bool
 	// Fusion is the multi-signal fusion option block (see FusionOptions).
 	// The zero value keeps the plain single-signal pipeline.
@@ -160,14 +152,10 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		tolerance:  tolerance,
 		series:     make(map[vanet.NodeID]*timeseries.Series),
 		lastObs:    make(map[vanet.NodeID]time.Duration),
-		obsVer:     make(map[vanet.NodeID]uint64),
 		fusion:     cfg.Fusion,
 	}
 	if m.fusion.Enabled {
 		m.claims = make(map[vanet.NodeID][]ClaimSample)
-	}
-	if !cfg.DisablePairCache {
-		m.memo = newPairMemo()
 	}
 	return m, nil
 }
@@ -188,13 +176,10 @@ var ErrNonFiniteRSSI = errors.New("core: non-finite RSSI")
 // lands in the window; order within a series is what DTW absorbs
 // anyway), anything older is rejected with ErrTimeBackwards. With the
 // zero tolerance — the default — ordering is strictly monotone.
-//
-// Observe is the single ingest entry point; ObserveClamped remains only
-// as a deprecated per-call-tolerance variant.
 func (m *Monitor) Observe(id vanet.NodeID, t time.Duration, rssi float64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.observeLocked(id, t, rssi, m.tolerance, nil)
+	return m.observeLocked(id, t, rssi, nil)
 }
 
 // ErrNonFinitePosition is returned when a claimed position carries a NaN
@@ -216,33 +201,20 @@ func (m *Monitor) ObserveWithClaim(id vanet.NodeID, t time.Duration, rssi float6
 	if !finiteClaim(c) {
 		return fmt.Errorf("%w: (%v, %v) at %v", ErrNonFinitePosition, x, y, t)
 	}
-	return m.observeLocked(id, t, rssi, m.tolerance, &c)
+	return m.observeLocked(id, t, rssi, &c)
 }
 
-// ObserveClamped feeds one beacon with an explicit reorder tolerance
-// overriding the configured one.
-//
-// Deprecated: set MonitorConfig.ReorderTolerance and call Observe; the
-// two-method split predates the config knob and survives only for
-// compatibility.
-func (m *Monitor) ObserveClamped(id vanet.NodeID, t time.Duration, rssi float64, tolerance time.Duration) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.observeLocked(id, t, rssi, tolerance, nil)
-}
-
-// observeLocked implements ingest under m.mu; tolerance bounds how far
-// behind the monitor clock a timestamp may lag and still be clamped
-// forward. claim, when non-nil and fusion is enabled, is retained for
-// the round's fusion signals (its T is clamped along with the sample's).
+// observeLocked implements ingest under m.mu. claim, when non-nil and
+// fusion is enabled, is retained for the round's fusion signals (its T
+// is clamped along with the sample's).
 //
 // voiceprintvet:holds mu
-func (m *Monitor) observeLocked(id vanet.NodeID, t time.Duration, rssi float64, tolerance time.Duration, claim *ClaimSample) error {
+func (m *Monitor) observeLocked(id vanet.NodeID, t time.Duration, rssi float64, claim *ClaimSample) error {
 	if math.IsNaN(rssi) || math.IsInf(rssi, 0) {
 		return fmt.Errorf("%w: %v at %v", ErrNonFiniteRSSI, rssi, t)
 	}
 	if t < m.now {
-		if m.now-t > tolerance {
+		if m.now-t > m.tolerance {
 			return fmt.Errorf("%w: %v after %v", ErrTimeBackwards, t, m.now)
 		}
 		t = m.now
@@ -258,7 +230,6 @@ func (m *Monitor) observeLocked(id vanet.NodeID, t time.Duration, rssi float64, 
 	}
 	m.lastObs[id] = t
 	m.version++
-	m.obsVer[id] = m.version
 	if claim != nil && m.claims != nil {
 		claim.T = t
 		m.claims[id] = append(m.claims[id], *claim)
@@ -313,7 +284,7 @@ func (m *Monitor) detectAtLocked(end time.Duration) (*Result, error) {
 		cp.Cached = true
 		// The compare-phase tallies describe work the original round did;
 		// this round did none, and schedulers sum the counters per round.
-		cp.PairsCompared, cp.PairsPrunedLB, cp.PairsReusedDirty = 0, 0, 0
+		cp.PairsCompared, cp.PairsPrunedLB = 0, 0
 		return &cp, nil
 	}
 	// Window extraction is the round's monitor-side stage; like the
@@ -353,12 +324,12 @@ func (m *Monitor) detectAtLocked(end time.Duration) (*Result, error) {
 	if m.obsv != nil {
 		m.obsv.ObserveStage(StageWindow, time.Since(windowStart))
 	}
-	if m.memo != nil {
-		m.memo.beginRound(m.heard, m.input, m.obsVer)
-	}
-	res, err := m.det.detect(m.input, density, m.memo)
+	res, err := m.det.detect(m.input, density, m.pairs)
 	if err != nil {
 		return nil, err
+	}
+	if res.Pairs != nil {
+		m.pairs = res.Pairs
 	}
 	res.WindowEnd = end
 	if m.fusion.Enabled {
@@ -511,11 +482,7 @@ func (m *Monitor) evictLocked() {
 			delete(m.series, id)
 			delete(m.lastObs, id)
 			delete(m.views, id)
-			delete(m.obsVer, id)
 			delete(m.claims, id)
-			if m.memo != nil {
-				m.memo.forget(id)
-			}
 			m.confirmer.Forget(id)
 			m.evicted++
 			m.version++

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -162,30 +161,6 @@ func TestConfirmerSnapshotIsReadOnly(t *testing.T) {
 	}
 	if got := c.Confirmed(); !got[1] {
 		t.Errorf("snapshot after confirmation = %v", got)
-	}
-}
-
-// TestMonitorObserveClamped is the dedicated coverage for the deprecated
-// compatibility shim; every other caller has migrated to
-// MonitorConfig.ReorderTolerance with Observe.
-func TestMonitorObserveClamped(t *testing.T) {
-	m := testMonitor(t, 1, 1)
-	if err := m.Observe(1, time.Second, -70); err != nil {
-		t.Fatal(err)
-	}
-	// Slightly late: clamped forward, clock unchanged.
-	if err := m.ObserveClamped(2, 900*time.Millisecond, -71, 500*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if m.Now() != time.Second {
-		t.Errorf("Now = %v, want clock pinned at 1s", m.Now())
-	}
-	// Beyond tolerance: rejected.
-	if err := m.ObserveClamped(3, 100*time.Millisecond, -72, 500*time.Millisecond); !errors.Is(err, ErrTimeBackwards) {
-		t.Errorf("stale observation err = %v, want ErrTimeBackwards", err)
-	}
-	if m.Tracked() != 2 {
-		t.Errorf("tracked = %d, want 2", m.Tracked())
 	}
 }
 

@@ -18,9 +18,6 @@ func TestObserveRejectsNonFiniteRSSI(t *testing.T) {
 		if err := m.Observe(1, time.Second, bad); !errors.Is(err, ErrNonFiniteRSSI) {
 			t.Errorf("Observe(%v) err = %v, want ErrNonFiniteRSSI", bad, err)
 		}
-		if err := m.ObserveClamped(1, time.Second, bad, time.Second); !errors.Is(err, ErrNonFiniteRSSI) {
-			t.Errorf("ObserveClamped(%v) err = %v, want ErrNonFiniteRSSI", bad, err)
-		}
 		// Rejection must leave no trace: no identity tracked, and the
 		// monotone clock not advanced (an observation at an earlier
 		// timestamp still lands).

@@ -124,10 +124,9 @@ func TestStageStrings(t *testing.T) {
 	}
 }
 
-// TestObserveReorderTolerance: the configured tolerance makes Observe
-// behave exactly like the deprecated ObserveClamped — late-but-tolerable
-// samples clamp forward, older ones reject — while the zero-value config
-// keeps strict monotonicity.
+// TestObserveReorderTolerance: with a configured tolerance Observe
+// clamps late-but-tolerable samples forward and rejects older ones,
+// while the zero-value config keeps strict monotonicity.
 func TestObserveReorderTolerance(t *testing.T) {
 	strict, err := NewMonitor(MonitorConfig{Detector: DefaultConfig(testBoundary())})
 	if err != nil {

@@ -103,7 +103,7 @@ func TestLBPruneEquivalence(t *testing.T) {
 						t.Fatalf("seed %d pair %d: normalized %v != exact %v", seed, i, p.Normalized, e.Normalized)
 					}
 				}
-				if got := fast.PairsCompared + fast.PairsPrunedLB + fast.PairsReusedDirty; got != len(fast.Pairs) {
+				if got := fast.PairsCompared + fast.PairsPrunedLB; got != len(fast.Pairs) {
 					t.Fatalf("seed %d: counters sum to %d, want %d", seed, got, len(fast.Pairs))
 				}
 				if exact.PairsPrunedLB != 0 || exact.PairsCompared != len(exact.Pairs) {
@@ -244,90 +244,69 @@ func feedBoth(t *testing.T, a, b *Monitor, series map[vanet.NodeID]*timeseries.S
 	}
 }
 
-// TestMonitorDirtyPairEquivalence is the dirty-pair cache contract:
-// a monitor with the cache returns byte-identical results to one
-// without, across full rounds, incremental (same window end, few dirty
-// identities) rounds, and a window shift — with pruning both off and
-// on. Only the work counters may differ, and the cached monitor must
-// actually reuse pairs on the incremental rounds.
-func TestMonitorDirtyPairEquivalence(t *testing.T) {
-	for _, prune := range []bool{false, true} {
-		name := "prune=off"
-		if prune {
-			name = "prune=on"
+// TestMonitorParallelComparePruned runs the compare workers the way a
+// pruning monitor does in production — several goroutines resolving one
+// round's pairs — across incremental rounds at a fixed window end, and
+// requires every round to match a sequential monitor fed the same
+// beacons. Under -race it also pins that the workers share no mutable
+// state beyond their preassigned pair slots.
+func TestMonitorParallelComparePruned(t *testing.T) {
+	for _, workers := range []int{2, 8} {
+		det := DefaultConfig(testBoundary())
+		det.MinMedianRSSIDBm = 0
+		det.LBPrune = true
+		det.Workers = 1
+		seq, err := NewMonitor(MonitorConfig{Detector: det, ConfirmWindow: 3, ConfirmNeed: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			for _, seed := range []int64{301, 302, 303} {
-				det := DefaultConfig(testBoundary())
-				det.MinMedianRSSIDBm = 0
-				det.LBPrune = prune
-				mc := MonitorConfig{Detector: det, ConfirmWindow: 3, ConfirmNeed: 2}
-				cached, err := NewMonitor(mc)
-				if err != nil {
+		det.Workers = workers
+		par, err := NewMonitor(MonitorConfig{Detector: det, ConfirmWindow: 3, ConfirmNeed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(306))
+		feedBoth(t, par, seq, sybilCluster(rng, 9)) // 12 identities, 66 pairs
+		end := par.Now()
+		pruned := 0
+		for round := 0; round < 4; round++ {
+			a, err := par.DetectAt(end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := seq.DetectAt(end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a.Pairs) != 66 {
+				t.Fatalf("workers=%d round %d: %d pairs, want 66", workers, round, len(a.Pairs))
+			}
+			if !reflect.DeepEqual(a.Pairs, b.Pairs) ||
+				!reflect.DeepEqual(a.Suspects, b.Suspects) ||
+				!reflect.DeepEqual(a.Confirmed, b.Confirmed) ||
+				a.PairsCompared != b.PairsCompared || a.PairsPrunedLB != b.PairsPrunedLB {
+				t.Fatalf("workers=%d round %d: parallel monitor diverged from sequential", workers, round)
+			}
+			pruned += a.PairsPrunedLB
+			// One identity gets a fresh beacon at the same window end, so
+			// the next round recomputes rather than hitting the
+			// unchanged-round cache.
+			for _, m := range []*Monitor{par, seq} {
+				if err := m.Observe(1, end, -68.5); err != nil {
 					t.Fatal(err)
-				}
-				mc.DisablePairCache = true
-				plain, err := NewMonitor(mc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(seed))
-				series := sybilCluster(rng, 9) // 12 identities, 66 pairs
-				feedBoth(t, cached, plain, series)
-				end := cached.Now()
-				reused := 0
-				round := func(at time.Duration) {
-					t.Helper()
-					a, err := cached.DetectAt(at)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := plain.DetectAt(at)
-					if err != nil {
-						t.Fatal(err)
-					}
-					reused += a.PairsReusedDirty
-					if b.PairsReusedDirty != 0 {
-						t.Fatalf("cache-disabled monitor reused %d pairs", b.PairsReusedDirty)
-					}
-					// Everything but the work counters must match bitwise.
-					if !reflect.DeepEqual(a.Suspects, b.Suspects) ||
-						!reflect.DeepEqual(a.Confirmed, b.Confirmed) ||
-						!reflect.DeepEqual(a.Considered, b.Considered) ||
-						!reflect.DeepEqual(a.Pairs, b.Pairs) ||
-						a.WindowEnd != b.WindowEnd || a.Cached != b.Cached {
-						t.Fatalf("seed %d at %v: cached monitor diverged from plain", seed, at)
-					}
-				}
-				round(end) // cold round: everything computed
-				// Incremental rounds: a few identities get fresh beacons at
-				// the same window end; only their pairs are dirty.
-				for i := 0; i < 3; i++ {
-					for _, id := range []vanet.NodeID{1, 2} {
-						for _, m := range []*Monitor{cached, plain} {
-							if err := m.Observe(id, end, -68.5); err != nil {
-								t.Fatal(err)
-							}
-						}
-					}
-					round(end)
-				}
-				// Window shift: every view changes, nothing is reusable, and
-				// the fingerprints must notice that on their own.
-				round(end + beat)
-				if reused == 0 {
-					t.Fatal("cache never reused a pair; the equivalence run proved nothing")
 				}
 			}
-		})
+		}
+		if pruned == 0 {
+			t.Fatalf("workers=%d: pruning never fired; the run proved nothing", workers)
+		}
 	}
 }
 
 // TestMonitorSteadyStateAllocs pins the monitor round's allocation
-// budget in the incremental regime: with the dirty-pair cache holding
-// the pair buffer and the clean pairs, a round allocates only the
-// escaping Result payload and the few map writes the round history
-// needs.
+// budget in the incremental regime: with the monitor's pair buffer
+// reused across rounds, a round allocates only the escaping Result
+// payload and the few map writes the round history needs.
 func TestMonitorSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")
@@ -343,7 +322,7 @@ func TestMonitorSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(305))
 	feedBoth(t, m, m, sybilCluster(rng, 9)) // feeding one monitor twice doubles samples; harmless
 	end := m.Now()
-	for i := 0; i < 3; i++ { // warm scratch, workspace pool, memo and view maps
+	for i := 0; i < 3; i++ { // warm scratch, workspace pool, pair buffer and view maps
 		if _, err := m.DetectAt(end); err != nil {
 			t.Fatal(err)
 		}

@@ -14,9 +14,9 @@ import (
 // needs to resume detection after a restart: the monitor clock, the
 // retained per-identity RSSI series, the K-of-N confirmation history and
 // the density estimator's known-Sybil set. It deliberately excludes the
-// unchanged-round cache, the dirty-pair cache and the reusable scratch
-// maps — those rebuild on the first rounds without changing any result —
-// and the configuration, which the restoring side supplies (state only
+// unchanged-round cache and the reusable scratch buffers — those rebuild
+// on the first round without changing any result — and the
+// configuration, which the restoring side supplies (state only
 // round-trips between identically configured monitors).
 //
 // All slices are sorted by identity so that two captures of the same
@@ -139,13 +139,6 @@ func (m *Monitor) RestoreState(st *MonitorState) error {
 			}
 			m.claims[ident.ID] = slices.Clone(ident.Claims)
 		}
-		m.version += uint64(len(ident.Samples))
-		// Re-anchor the identity's observation version as if its samples
-		// had streamed in; the dirty-pair cache starts cold either way
-		// (it is not serialized — it rebuilds in one round and storing it
-		// would grow the WAL format for no change in results), but the
-		// fingerprints must be populated for rounds after the restore.
-		m.obsVer[ident.ID] = m.version
 	}
 	for _, c := range st.Confirm {
 		if _, dup := m.confirmer.history[c.ID]; dup {

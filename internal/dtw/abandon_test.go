@@ -57,8 +57,8 @@ func TestBandedDistanceAbandonExactBitIdentical(t *testing.T) {
 // TestBandedDistanceAbandonAdmissible checks the abandon contract under
 // cutoffs that do fire: the returned bound never exceeds the exact
 // distance (admissibility), its normalized value exceeds the cutoff
-// (the reason it fired), and rerunning reproduces it bit for bit (the
-// dirty-pair cache replays abandoned outcomes across rounds).
+// (the reason it fired), and rerunning reproduces it bit for bit (a
+// pair's recorded bound must not depend on which workspace ran it).
 func TestBandedDistanceAbandonAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	ws := NewWorkspace()

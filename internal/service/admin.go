@@ -110,13 +110,3 @@ func NewAdminHandler(cfg AdminConfig) http.Handler {
 	}
 	return mux
 }
-
-// AdminHandler is the pre-AdminConfig constructor, equivalent to
-// NewAdminHandler without the optional debug endpoints. reg may be nil
-// (metrics-only rendering, used before the registry exists and in
-// tests).
-//
-// Deprecated: use NewAdminHandler, which adds the opt-in pprof surface.
-func AdminHandler(m *Metrics, reg *Registry) http.Handler {
-	return NewAdminHandler(AdminConfig{Metrics: m, Registry: reg})
-}

@@ -2,9 +2,7 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
-	"strings"
 )
 
 // discardHandler drops every record. It stands in for a nil logger so
@@ -16,53 +14,3 @@ func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false 
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
-
-// logfHandler adapts the legacy Config.Logf callback to slog: records at
-// Info and above render as one "msg key=value ..." line. It keeps old
-// deployments' log plumbing working unchanged while the daemon's
-// internals speak structured logging.
-type logfHandler struct {
-	logf   func(format string, args ...any)
-	attrs  string // pre-rendered " key=value" pairs from WithAttrs
-	groups string // dotted group prefix for subsequent keys
-}
-
-func (h logfHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= slog.LevelInfo
-}
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var sb strings.Builder
-	sb.WriteString(r.Message)
-	sb.WriteString(h.attrs)
-	r.Attrs(func(a slog.Attr) bool {
-		writeAttr(&sb, h.groups, a)
-		return true
-	})
-	h.logf("%s", sb.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	var sb strings.Builder
-	sb.WriteString(h.attrs)
-	for _, a := range attrs {
-		writeAttr(&sb, h.groups, a)
-	}
-	h.attrs = sb.String()
-	return h
-}
-
-func (h logfHandler) WithGroup(name string) slog.Handler {
-	if name != "" {
-		h.groups += name + "."
-	}
-	return h
-}
-
-func writeAttr(sb *strings.Builder, prefix string, a slog.Attr) {
-	if a.Equal(slog.Attr{}) {
-		return
-	}
-	fmt.Fprintf(sb, " %s%s=%v", prefix, a.Key, a.Value)
-}

@@ -72,12 +72,16 @@ type Metrics struct {
 	// SuspectsFlagged counts identity flags summed over rounds.
 	SuspectsFlagged obs.Counter
 	// PairsCompared counts pairwise comparisons resolved by a full DTW
-	// computation; PairsPrunedLB those skipped on the LB_Keogh lower
-	// bound; PairsReusedDirty those served by the dirty-pair cache.
-	// Together they sum to the pairs enumerated over all non-cached
-	// rounds — the prune and reuse rates are these counters over that
-	// sum, the compare phase's cost model in one scrape.
-	PairsCompared, PairsPrunedLB, PairsReusedDirty obs.Counter
+	// computation; PairsPrunedLB those resolved by a lower bound (the
+	// LB_Keogh envelope or an early-abandoned DP scan). Together they sum
+	// to the pairs enumerated over all non-cached rounds — the prune rate
+	// is PairsPrunedLB over that sum, the compare phase's cost model in
+	// one scrape.
+	PairsCompared, PairsPrunedLB obs.Counter
+	// Deprecated: PairsReusedDirty always reads zero and is not exported
+	// on /metrics; the dirty-pair cache it counted was removed. It is
+	// kept only because the benchmark module (perfbench) still names it.
+	PairsReusedDirty obs.Counter
 	// WALAppends counts records journaled to the write-ahead log;
 	// WALAppendErrors counts appends that failed (the in-memory apply
 	// proceeds regardless — availability over durability).
@@ -151,7 +155,6 @@ func (m *Metrics) Snapshot() map[string]uint64 {
 		"suspects_flagged_total":         m.SuspectsFlagged.Load(),
 		"pairs_compared_total":           m.PairsCompared.Load(),
 		"pairs_pruned_lb_total":          m.PairsPrunedLB.Load(),
-		"pairs_reused_dirty_total":       m.PairsReusedDirty.Load(),
 		"round_latency_ns_total":         m.RoundLatencyNs.Load(),
 		"connections_opened_total":       m.ConnsOpened.Load(),
 		"connections_closed_total":       m.ConnsClosed.Load(),
@@ -224,7 +227,6 @@ func (m *Metrics) Instruments(reg *Registry) *obs.Registry {
 	r.Counter("suspects_flagged_total", "Identity flags summed over rounds.", &m.SuspectsFlagged)
 	r.Counter("pairs_compared_total", "Pairwise comparisons resolved by a full DTW computation.", &m.PairsCompared)
 	r.Counter("pairs_pruned_lb_total", "Pairwise comparisons skipped on the LB_Keogh lower bound.", &m.PairsPrunedLB)
-	r.Counter("pairs_reused_dirty_total", "Pairwise comparisons served by the dirty-pair cache.", &m.PairsReusedDirty)
 	r.Counter("round_latency_ns_total", "Wall-clock nanoseconds summed over rounds; round_latency_ns is the source of truth, divide by rounds_run_total for a mean across all returned rounds.", &m.RoundLatencyNs)
 	r.Counter("connections_opened_total", "Ingest connections accepted.", &m.ConnsOpened)
 	r.Counter("connections_closed_total", "Ingest connections closed.", &m.ConnsClosed)

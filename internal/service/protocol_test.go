@@ -221,23 +221,6 @@ func TestAdminHandler(t *testing.T) {
 	}
 }
 
-// TestAdminHandlerLegacyShim is the dedicated coverage for the
-// deprecated two-argument constructor; every other caller has migrated
-// to NewAdminHandler with an AdminConfig.
-func TestAdminHandlerLegacyShim(t *testing.T) {
-	m := &Metrics{}
-	reg, err := NewRegistry(RegistryConfig{Monitor: testMonitorConfig()}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := AdminHandler(m, reg)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != "ok" {
-		t.Errorf("/healthz via shim = %d %q", rec.Code, rec.Body.String())
-	}
-}
-
 func TestRegistryCapacity(t *testing.T) {
 	m := &Metrics{}
 	reg, err := NewRegistry(RegistryConfig{Monitor: testMonitorConfig(), MaxReceivers: 2}, m)

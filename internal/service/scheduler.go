@@ -245,10 +245,8 @@ func (s *Scheduler) round(recv vanet.NodeID, at time.Duration) (out RoundOutcome
 	}
 	s.metrics.SuspectsFlagged.Add(uint64(len(res.Suspects)))
 	// Compare-phase work accounting (zeros on cached rounds, which did
-	// none): full DTW computations, LB-pruned pairs, and pairs served by
-	// the dirty-pair cache.
+	// none): full DTW computations and lower-bound-pruned pairs.
 	s.metrics.PairsCompared.Add(uint64(res.PairsCompared))
 	s.metrics.PairsPrunedLB.Add(uint64(res.PairsPrunedLB))
-	s.metrics.PairsReusedDirty.Add(uint64(res.PairsReusedDirty))
 	return out
 }

@@ -61,15 +61,9 @@ type Config struct {
 	DrainTimeout time.Duration
 	// Logger, when non-nil, receives structured operational logs;
 	// per-connection records carry the remote address (and, for ingest
-	// errors, the receiver) as attributes. When nil, Logf — if set —
-	// receives the same records formatted as plain lines; when both are
-	// nil, logs are discarded.
+	// errors, the receiver) as attributes. When nil, logs are
+	// discarded.
 	Logger *slog.Logger
-	// Logf, when non-nil, receives operational log lines.
-	//
-	// Deprecated: prefer Logger. Logf survives as a formatting shim over
-	// the structured records.
-	Logf func(format string, args ...any)
 	// WAL, when non-nil, makes detection state durable: observations and
 	// round boundaries are journaled to a write-ahead log in WAL.Dir,
 	// compacted periodically into monitor-state snapshots, and recovered
@@ -153,11 +147,7 @@ func (c *Config) fillDefaults() error {
 		return errors.New("service: negative drain timeout")
 	}
 	if c.Logger == nil {
-		if c.Logf != nil {
-			c.Logger = slog.New(logfHandler{logf: c.Logf})
-		} else {
-			c.Logger = slog.New(discardHandler{})
-		}
+		c.Logger = slog.New(discardHandler{})
 	}
 	return nil
 }

@@ -42,7 +42,7 @@ func chaosServiceConfig() service.Config {
 	// Pruning on, as voiceprintd deploys it: every fixture in this
 	// package compares confirmed sets against pruning-off expectations,
 	// so the whole suite doubles as the end-to-end proof that LB_Keogh
-	// pruning (and the dirty-pair cache under it) never moves a verdict.
+	// pruning never moves a verdict.
 	det.LBPrune = true
 	return service.Config{
 		Registry: service.RegistryConfig{Monitor: core.MonitorConfig{
