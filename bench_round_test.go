@@ -4,17 +4,11 @@ package voiceprint
 // end to end — registry lookup, window extraction, normalization,
 // pairwise FastDTW, LDA + confirmation, metrics — the unit the daemon
 // repeats every period. Each iteration first feeds one fresh beacon per
-// identity so the unchanged-round cache never short-circuits the work
-// (a cached round is ~free and would benchmark the cache, not the
-// round). CI runs it with -bench Round (see .github/workflows/ci.yml);
-// the BENCH_pr4.json artifact records the latency distribution the new
-// round_latency_ns histogram observes — regenerate with
-//
-//	VOICEPRINT_BENCH_JSON=1 go test -run TestWriteBenchPR4JSON .
+// identity and advances the window end by one beacon interval, the way
+// a live receiver's rounds move. CI runs it with -bench Round (see
+// .github/workflows/ci.yml).
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 
@@ -31,7 +25,7 @@ const (
 // roundBenchSetup builds a registry with one receiver tracking
 // roundBenchIdentities synthetic vehicles, pre-filled with a 20 s
 // window, plus a single-worker scheduler over it.
-func roundBenchSetup(tb testing.TB) (*service.Registry, *service.Scheduler, *service.Metrics, time.Duration) {
+func roundBenchSetup(tb testing.TB) (*service.Registry, *service.Scheduler, time.Duration) {
 	tb.Helper()
 	m := &service.Metrics{}
 	cfg := DefaultDetectorConfig(benchBoundary())
@@ -52,7 +46,7 @@ func roundBenchSetup(tb testing.TB) (*service.Registry, *service.Scheduler, *ser
 		now = time.Duration(i) * roundBenchBeat
 		feedRoundBench(tb, reg, now, i)
 	}
-	return reg, sched, m, now
+	return reg, sched, now
 }
 
 // feedRoundBench sends one beacon per identity at stream time now: a
@@ -76,7 +70,7 @@ func feedRoundBench(tb testing.TB, reg *service.Registry, now time.Duration, ste
 }
 
 func BenchmarkRoundScheduler(b *testing.B) {
-	reg, sched, _, now := roundBenchSetup(b)
+	reg, sched, now := roundBenchSetup(b)
 	// Warm one round so the detector's scratch and workspace pools exist:
 	// the numbers should show the steady state a long-running daemon sits
 	// in, not first-round pool growth.
@@ -92,54 +86,4 @@ func BenchmarkRoundScheduler(b *testing.B) {
 			b.Fatal(out.Err)
 		}
 	}
-}
-
-// TestWriteBenchPR4JSON regenerates BENCH_pr4.json: the scheduler-round
-// latency distribution (p50/p95/p99/mean) as observed by the
-// round_latency_ns histogram this PR adds — the artifact doubles as an
-// end-to-end check that the histogram quantiles track real timings.
-func TestWriteBenchPR4JSON(t *testing.T) {
-	if os.Getenv("VOICEPRINT_BENCH_JSON") == "" {
-		t.Skip("set VOICEPRINT_BENCH_JSON=1 to regenerate BENCH_pr4.json")
-	}
-	reg, sched, m, now := roundBenchSetup(t)
-	const rounds = 200
-	for i := 0; i < rounds; i++ {
-		now += roundBenchBeat
-		feedRoundBench(t, reg, now, i)
-		if out := sched.DetectOne(roundBenchRecv, now); out.Err != nil {
-			t.Fatal(out.Err)
-		}
-	}
-	snap := m.RoundLatency.Snapshot()
-	if snap.Count != rounds {
-		t.Fatalf("histogram saw %d rounds, want %d", snap.Count, rounds)
-	}
-	doc := struct {
-		Benchmark  string  `json:"benchmark"`
-		Identities int     `json:"identities"`
-		Rounds     uint64  `json:"rounds"`
-		P50Ns      float64 `json:"p50_ns"`
-		P95Ns      float64 `json:"p95_ns"`
-		P99Ns      float64 `json:"p99_ns"`
-		MeanNs     float64 `json:"mean_ns"`
-		Source     string  `json:"source"`
-	}{
-		Benchmark:  "BenchmarkRoundScheduler (scheduler round, 1 receiver, fresh beacons per round)",
-		Identities: roundBenchIdentities,
-		Rounds:     snap.Count,
-		P50Ns:      snap.Quantile(0.50),
-		P95Ns:      snap.Quantile(0.95),
-		P99Ns:      snap.Quantile(0.99),
-		MeanNs:     snap.Mean(),
-		Source:     "voiceprintd_round_latency_ns histogram (internal/obs), log2 buckets",
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_pr4.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_pr4.json: p50 %.0f ns, p99 %.0f ns over %d rounds", doc.P50Ns, doc.P99Ns, doc.Rounds)
 }

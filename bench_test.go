@@ -185,8 +185,8 @@ func BenchmarkDetect80Neighbors(b *testing.B) {
 	}
 }
 
-// detectBenchVariants enumerates the detection-round configurations the
-// BENCH_pr2.json artifact tracks: the sequential pairwise loop, the
+// detectBenchVariants enumerates the detection-round configurations
+// BenchmarkDetectWorkers measures: the sequential pairwise loop, the
 // parallel fan-out, and the pooled steady state (parallel with the
 // scratch and workspace pools pre-warmed before timing, so the numbers
 // show the allocation-free regime a long-running daemon sits in).

@@ -104,12 +104,8 @@ func run() error {
 			suspects = append(suspects, id)
 		}
 		sort.Slice(suspects, func(i, j int) bool { return suspects[i] < suspects[j] })
-		cached := ""
-		if res.Cached {
-			cached = " (cached)"
-		}
-		fmt.Printf("receiver %d t=[%v,%v) den=%.1f considered=%d suspects=%v%s\n",
-			out.Recv, from, res.WindowEnd, res.Density, len(res.Considered), suspects, cached)
+		fmt.Printf("receiver %d t=[%v,%v) den=%.1f considered=%d suspects=%v\n",
+			out.Recv, from, res.WindowEnd, res.Density, len(res.Considered), suspects)
 		if *verbose {
 			for _, p := range res.Pairs {
 				fmt.Printf("  (%d,%d) raw=%.5f norm=%.4f flagged=%v\n",

@@ -285,7 +285,6 @@ func runReplay(ctx context.Context, path string, regCfg service.RegistryConfig, 
 	logger.Info("voiceprintd: replay done",
 		"observations", snap["observations_ingested_total"],
 		"rounds", snap["rounds_run_total"],
-		"rounds_cached", snap["rounds_skipped_unchanged_total"],
 		"suspects_flagged", snap["suspects_flagged_total"],
 		"stale_dropped", snap["stale_dropped_total"])
 	return nil

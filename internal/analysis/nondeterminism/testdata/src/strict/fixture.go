@@ -13,7 +13,7 @@ import (
 )
 
 func wallClock() time.Duration {
-	start := time.Now() // want "time.Now on the detection path"
+	start := time.Now()      // want "time.Now on the detection path"
 	return time.Since(start) // want "time.Since on the detection path"
 }
 

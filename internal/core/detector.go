@@ -238,9 +238,8 @@ type Result struct {
 	// Pairs holds every comparison, for training data harvesting
 	// (Figure 10) and diagnostics. For rounds run under a Monitor the
 	// slice is backed by the monitor's reusable pair buffer: the next
-	// round that is not served from the unchanged-round cache overwrites
-	// it, so callers that retain results across rounds must copy it
-	// (bare Detector rounds allocate fresh).
+	// round overwrites it, so callers that retain results across rounds
+	// must copy it (bare Detector rounds allocate fresh).
 	Pairs []PairDistance
 	// Considered lists the identities that had enough samples to compare,
 	// in ascending ID order.
@@ -258,16 +257,11 @@ type Result struct {
 	// ran under a Monitor (which folds the round into its Confirmer); nil
 	// for bare Detector rounds.
 	Confirmed map[vanet.NodeID]bool
-	// Cached reports that the round was answered from a monitor's
-	// unchanged-round cache: no new observation arrived since an earlier
-	// round with the same window end, so the detection outcome is reused.
-	Cached bool
 	// PairsCompared counts the pairs whose DTW distance was computed in
 	// full this round (including pairs the extremes repair recomputed);
 	// PairsPrunedLB the pairs resolved by a lower bound — the LB_Keogh
 	// envelope or the banded DP's early-abandoned prefix minimum. The two
-	// always sum to len(Pairs), except on Cached rounds, which did no
-	// compare work and report zeros.
+	// always sum to len(Pairs).
 	PairsCompared int
 	PairsPrunedLB int
 	// Signals is the per-identity, per-signal attribution map, populated
@@ -280,7 +274,7 @@ type Result struct {
 
 // roundScratch is one detection round's reusable working memory. A pooled
 // scratch makes steady-state rounds allocate (almost) only the Result they
-// hand back — which escapes to callers and round caches — while the value
+// hand back — which escapes to callers — while the value
 // arena, per-identity noise estimates, and distance batches are reused.
 type roundScratch struct {
 	ids        []vanet.NodeID

@@ -42,10 +42,6 @@ type Monitor struct {
 	now        time.Duration                       // voiceprintvet:guardedby mu
 	evicted    uint64                              // voiceprintvet:guardedby mu
 
-	// version counts accepted observations and evictions; together with a
-	// round's window end it fingerprints the detector input, so a round
-	// whose fingerprint matches the previous one can reuse its Result.
-	version uint64 // voiceprintvet:guardedby mu
 	// pairs backs Result.Pairs across rounds, so steady-state rounds do
 	// not allocate a fresh pair slice; Result.Pairs documents the
 	// lifetime this buys.
@@ -56,11 +52,6 @@ type Monitor struct {
 	input map[vanet.NodeID]*timeseries.Series // voiceprintvet:guardedby mu
 	views map[vanet.NodeID]*timeseries.Series // voiceprintvet:guardedby mu
 	heard []vanet.NodeID                      // voiceprintvet:guardedby mu
-	// Unchanged-round cache: the previous round's result and fingerprint.
-	lastRes *Result       // voiceprintvet:guardedby mu
-	lastVer uint64        // voiceprintvet:guardedby mu
-	lastEnd time.Duration // voiceprintvet:guardedby mu
-	cached  uint64        // voiceprintvet:guardedby mu
 
 	// Fusion state: the configured extra signals and, when fusion is
 	// enabled, the per-identity claimed-position samples (appended by
@@ -229,7 +220,6 @@ func (m *Monitor) observeLocked(id vanet.NodeID, t time.Duration, rssi float64, 
 		return err
 	}
 	m.lastObs[id] = t
-	m.version++
 	if claim != nil && m.claims != nil {
 		claim.T = t
 		m.claims[id] = append(m.claims[id], *claim)
@@ -264,32 +254,15 @@ func (m *Monitor) DetectAt(at time.Duration) (*Result, error) {
 	return m.detectAtLocked(at)
 }
 
-// detectAtLocked runs one round with the window ending at end. Results
-// are shared with the unchanged-round cache, so callers must treat the
-// returned Result as read-only.
+// detectAtLocked runs one round with the window ending at end. The
+// returned Result belongs to the caller, except that Result.Pairs is
+// backed by the monitor's reusable pair buffer.
 //
 // voiceprintvet:holds mu
 func (m *Monitor) detectAtLocked(end time.Duration) (*Result, error) {
 	m.evictLocked()
-	if m.lastRes != nil && m.version == m.lastVer && end == m.lastEnd {
-		// Unchanged round: no observation or eviction since the previous
-		// round, same window end, hence bit-identical detector input. Only
-		// the confirmation history must still advance — the K-of-N rule
-		// counts rounds, not observations — and the density estimator's
-		// Record is idempotent for an unchanged suspect set.
-		m.cached++
-		cp := *m.lastRes
-		m.estimator.Record(cp.Suspects)
-		cp.Confirmed = m.confirmer.Update(cp.Considered, cp.Suspects)
-		cp.Cached = true
-		// The compare-phase tallies describe work the original round did;
-		// this round did none, and schedulers sum the counters per round.
-		cp.PairsCompared, cp.PairsPrunedLB = 0, 0
-		return &cp, nil
-	}
 	// Window extraction is the round's monitor-side stage; like the
-	// detector's stages it is timed only when an observer is installed
-	// (cached rounds above never reach it — they do no window work).
+	// detector's stages it is timed only when an observer is installed.
 	var windowStart time.Time
 	if m.obsv != nil {
 		windowStart = time.Now()
@@ -339,9 +312,6 @@ func (m *Monitor) detectAtLocked(end time.Duration) (*Result, error) {
 	}
 	m.estimator.Record(res.Suspects)
 	res.Confirmed = m.confirmer.Update(res.Considered, res.Suspects)
-	m.lastRes = res
-	m.lastVer = m.version
-	m.lastEnd = end
 	return res, nil
 }
 
@@ -463,15 +433,6 @@ func (m *Monitor) Evicted() uint64 {
 	return m.evicted
 }
 
-// CachedRounds returns how many detection rounds were answered from the
-// unchanged-round cache (same observations, same window end as the
-// previous round).
-func (m *Monitor) CachedRounds() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cached
-}
-
 // evictLocked drops identities that have gone silent, bounding memory on
 // long drives past thousands of vehicles. Callers hold m.mu.
 //
@@ -485,7 +446,6 @@ func (m *Monitor) evictLocked() {
 			delete(m.claims, id)
 			m.confirmer.Forget(id)
 			m.evicted++
-			m.version++
 		}
 	}
 	// Trim retired history in place (amortized O(1), no allocation) so

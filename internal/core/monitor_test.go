@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -316,10 +317,11 @@ func TestDetectAtHonorsRequestedBoundary(t *testing.T) {
 	}
 }
 
-// TestMonitorUnchangedRoundCache: a round whose input fingerprint
-// (observation version, window end) matches the previous round reuses its
-// result — but the K-of-N confirmation history must still advance.
-func TestMonitorUnchangedRoundCache(t *testing.T) {
+// TestMonitorRepeatRoundRecountsDensity: a repeat round with no new input
+// still runs Algorithm 1 on the current estimator state, so its density
+// leaves out the identities the previous round flagged (the paper's Eq 9
+// note), and the K-of-N confirmation history advances once per round.
+func TestMonitorRepeatRoundRecountsDensity(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	m := testMonitor(t, 5, 3)
 	series := sybilCluster(rng, 5)
@@ -348,55 +350,55 @@ func TestMonitorUnchangedRoundCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res1.Cached {
-		t.Fatal("first round must not be cached")
-	}
 	if len(res1.Suspects) == 0 {
-		t.Fatal("cluster not flagged; cache test needs a flagging round")
+		t.Fatal("cluster not flagged; the test needs a flagging round")
 	}
 	if len(res1.Confirmed) != 0 {
 		t.Fatalf("confirmed after 1 of need-3 rounds: %v", res1.Confirmed)
 	}
+	heard := len(series)
+	wantFirst, err := EstimateDensity(heard, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res1.Density != wantFirst {
+		t.Errorf("first round density = %v, want %v", res1.Density, wantFirst)
+	}
+	round1Suspects := maps.Clone(res1.Suspects)
+
 	res2, err := m.Detect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res2.Cached {
-		t.Fatal("identical second round should hit the unchanged-round cache")
+	wantRepeat, err := EstimateDensity(heard-len(round1Suspects), 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Density != wantRepeat {
+		t.Errorf("repeat round density = %v, want %v (Eq 9 without the %d round-1 suspects)",
+			res2.Density, wantRepeat, len(round1Suspects))
+	}
+	if res2.WindowEnd != res1.WindowEnd {
+		t.Errorf("repeat round WindowEnd = %v, want %v", res2.WindowEnd, res1.WindowEnd)
+	}
+	if len(res2.Pairs) == 0 || res2.PairsCompared+res2.PairsPrunedLB != len(res2.Pairs) {
+		t.Errorf("repeat round did no compare work: compared %d + pruned %d, %d pairs",
+			res2.PairsCompared, res2.PairsPrunedLB, len(res2.Pairs))
 	}
 	res3, err := m.Detect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res3.Cached {
-		t.Fatal("identical third round should hit the unchanged-round cache")
-	}
-	if m.CachedRounds() != 2 {
-		t.Errorf("CachedRounds = %d, want 2", m.CachedRounds())
-	}
-	// Bit-identical payload.
-	if len(res2.Pairs) != len(res1.Pairs) || res2.WindowEnd != res1.WindowEnd {
-		t.Errorf("cached round differs: %d pairs end %v vs %d pairs end %v",
-			len(res2.Pairs), res2.WindowEnd, len(res1.Pairs), res1.WindowEnd)
-	}
-	for i := range res1.Pairs {
-		if res1.Pairs[i] != res2.Pairs[i] {
-			t.Fatalf("cached pair %d differs: %+v vs %+v", i, res2.Pairs[i], res1.Pairs[i])
+	// Three flagging rounds → the 3-of-5 rule confirms.
+	for id := range round1Suspects {
+		if !res2.Suspects[id] || !res3.Suspects[id] {
+			t.Errorf("suspect %d not flagged in every repeat round", id)
 		}
-	}
-	for id := range res1.Suspects {
-		if !res3.Suspects[id] {
-			t.Errorf("cached round lost suspect %d", id)
-		}
-	}
-	// Three flagging rounds → the 3-of-5 rule confirms, proving cached
-	// rounds still advance the confirmation history.
-	for id := range res1.Suspects {
 		if !res3.Confirmed[id] {
-			t.Errorf("suspect %d not confirmed after 3 rounds (cached rounds must advance K-of-N)", id)
+			t.Errorf("suspect %d not confirmed after 3 rounds", id)
 		}
 	}
-	// A new observation invalidates the cache.
+	// A new observation and a new window end both run a fresh round.
 	if err := m.Observe(1, m.Now()+beat, -60); err != nil {
 		t.Fatal(err)
 	}
@@ -404,15 +406,16 @@ func TestMonitorUnchangedRoundCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res4.Cached {
-		t.Error("round after a new observation must not be cached")
+	if res4.WindowEnd != m.Now() || res4.PairsCompared+res4.PairsPrunedLB != len(res4.Pairs) {
+		t.Errorf("round after a new observation: end %v (clock %v), compared %d + pruned %d of %d pairs",
+			res4.WindowEnd, m.Now(), res4.PairsCompared, res4.PairsPrunedLB, len(res4.Pairs))
 	}
-	// Same version but a different window end is also a miss.
-	res5, err := m.DetectAt(m.Now() + time.Second)
+	end5 := m.Now() + time.Second
+	res5, err := m.DetectAt(end5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res5.Cached {
-		t.Error("round at a new window end must not be cached")
+	if res5.WindowEnd != end5 || len(res5.Pairs) == 0 {
+		t.Errorf("round at a new window end: end %v, want %v; %d pairs", res5.WindowEnd, end5, len(res5.Pairs))
 	}
 }

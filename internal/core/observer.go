@@ -14,7 +14,7 @@ type Stage uint8
 const (
 	// StageWindow is the Monitor's pre-round work: zero-copy window view
 	// extraction and density estimation. Bare Detector rounds never
-	// report it, and cached (unchanged) rounds skip it entirely.
+	// report it.
 	StageWindow Stage = iota
 	// StageCollect filters usable identities (sample-count and median-
 	// RSSI floors) — Algorithm 1's collection phase.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func TestObserverStageSequence(t *testing.T) {
 	}
 
 	// Monitor round: window extraction stage leads, then the detector's
-	// four; a cached repeat round reports nothing new.
+	// four; a repeat round with no new input runs all five again.
 	obs3 := newRecordingObserver()
 	cfg.Observer = obs3
 	mon, err := NewMonitor(MonitorConfig{Detector: cfg, ReorderTolerance: time.Hour})
@@ -100,11 +101,13 @@ func TestObserverStageSequence(t *testing.T) {
 		t.Errorf("monitor round reported compare stage %d times, want 1", obs3.calls[StageCompare])
 	}
 	before := len(obs3.stages)
-	if _, err := mon.Detect(); err != nil { // unchanged → cached
+	if _, err := mon.Detect(); err != nil { // no new input
 		t.Fatal(err)
 	}
-	if len(obs3.stages) != before {
-		t.Errorf("cached round reported %d extra stages", len(obs3.stages)-before)
+	repeat := obs3.stages[before:]
+	wantMon := append([]Stage{StageWindow}, want...)
+	if !slices.Equal(repeat, wantMon) {
+		t.Errorf("repeat round stages = %v, want %v", repeat, wantMon)
 	}
 }
 

@@ -289,8 +289,7 @@ func TestMonitorParallelComparePruned(t *testing.T) {
 			}
 			pruned += a.PairsPrunedLB
 			// One identity gets a fresh beacon at the same window end, so
-			// the next round recomputes rather than hitting the
-			// unchanged-round cache.
+			// each round compares a slightly different input.
 			for _, m := range []*Monitor{par, seq} {
 				if err := m.Observe(1, end, -68.5); err != nil {
 					t.Fatal(err)

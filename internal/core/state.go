@@ -14,8 +14,8 @@ import (
 // needs to resume detection after a restart: the monitor clock, the
 // retained per-identity RSSI series, the K-of-N confirmation history and
 // the density estimator's known-Sybil set. It deliberately excludes the
-// unchanged-round cache and the reusable scratch buffers — those rebuild
-// on the first round without changing any result — and the
+// reusable scratch buffers — those rebuild on the first round without
+// changing any result — and the
 // configuration, which the restoring side supplies (state only
 // round-trips between identically configured monitors).
 //
@@ -157,6 +157,5 @@ func (m *Monitor) RestoreState(st *MonitorState) error {
 	}
 	m.now = st.Now
 	m.evicted = st.Evicted
-	m.version++
 	return nil
 }

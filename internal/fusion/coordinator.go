@@ -81,9 +81,9 @@ type edge struct {
 	a, b vanet.NodeID
 }
 
-// Coordinate implements service.RoundCoordinator. Outcomes whose
-// suspect set grows are replaced by clones; untouched outcomes (and the
-// Results shared with each monitor's round cache) are never mutated.
+// Coordinate implements service.RoundCoordinator. It adds convicted
+// clique members to each receiver's Suspects and Signals in place and
+// returns outs.
 func (c *Coordinator) Coordinate(outs []service.RoundOutcome) []service.RoundOutcome {
 	// Position votes: how many receivers independently position-flagged
 	// each identity this sweep.
@@ -178,34 +178,28 @@ func (c *Coordinator) Coordinate(outs []service.RoundOutcome) []service.RoundOut
 	}
 	sort.Slice(cids, func(x, y int) bool { return cids[x] < cids[y] })
 
-	fused := make([]service.RoundOutcome, len(outs))
-	copy(fused, outs)
-	for i := range fused {
-		res := fused[i].Result
+	for i := range outs {
+		res := outs[i].Result
 		if res == nil {
 			continue
 		}
-		var cp *core.Result
 		for _, id := range cids {
 			if !considered(res, id) {
 				continue
 			}
-			if cp == nil {
-				cp = cloneResult(res)
+			res.Suspects[id] = true
+			if res.Signals == nil {
+				res.Signals = make(map[vanet.NodeID]map[string]float64)
 			}
-			cp.Suspects[id] = true
-			attr := cp.Signals[id]
+			attr := res.Signals[id]
 			if attr == nil {
 				attr = make(map[string]float64, 1)
-				cp.Signals[id] = attr
+				res.Signals[id] = attr
 			}
 			attr[CliqueSignalName] = convicted[id]
 		}
-		if cp != nil {
-			fused[i].Result = cp
-		}
 	}
-	return fused
+	return outs
 }
 
 // considered reports whether id is in the round's (sorted) Considered
@@ -214,30 +208,6 @@ func considered(res *core.Result, id vanet.NodeID) bool {
 	n := len(res.Considered)
 	i := sort.Search(n, func(k int) bool { return res.Considered[k] >= id })
 	return i < n && res.Considered[i] == id
-}
-
-// cloneResult shallow-copies a Result and deep-copies the fields the
-// coordinator mutates (Suspects and Signals). Results are shared with
-// each monitor's unchanged-round cache, so in-place mutation would
-// poison subsequent cached rounds.
-func cloneResult(res *core.Result) *core.Result {
-	cp := *res
-	cp.Suspects = make(map[vanet.NodeID]bool, len(res.Suspects)+4)
-	//voiceprintvet:ignore nondeterminism map-to-map copy is order-independent
-	for id, v := range res.Suspects {
-		cp.Suspects[id] = v
-	}
-	cp.Signals = make(map[vanet.NodeID]map[string]float64, len(res.Signals)+4)
-	//voiceprintvet:ignore nondeterminism map-to-map copy is order-independent
-	for id, attr := range res.Signals {
-		inner := make(map[string]float64, len(attr)+1)
-		//voiceprintvet:ignore nondeterminism map-to-map copy is order-independent
-		for name, v := range attr {
-			inner[name] = v
-		}
-		cp.Signals[id] = inner
-	}
-	return &cp
 }
 
 // greedyCliques groups the graph into disjoint maximal cliques: nodes in

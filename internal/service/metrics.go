@@ -50,10 +50,9 @@ type Metrics struct {
 	// ReceiversRejected counts observations dropped because the registry
 	// was at its receiver capacity.
 	ReceiversRejected obs.Counter
-	// RoundsRun counts every detection round that returned — successful,
-	// errored, and cache-served alike. Coalesced ticks (skipped before
-	// running) and panicked rounds are counted separately and are NOT in
-	// RoundsRun.
+	// RoundsRun counts every detection round that returned, successful
+	// or errored. Coalesced ticks (skipped before running) and panicked
+	// rounds are counted separately and are NOT in RoundsRun.
 	RoundsRun obs.Counter
 	// RoundErrors counts detection rounds that returned an error.
 	RoundErrors obs.Counter
@@ -64,17 +63,12 @@ type Metrics struct {
 	// RoundsCoalesced counts scheduled rounds skipped because the same
 	// receiver's previous round was still in flight.
 	RoundsCoalesced obs.Counter
-	// RoundsSkippedUnchanged counts rounds answered from a monitor's
-	// unchanged-round cache: no observation arrived for the receiver since
-	// its previous round at the same window end, so the full detection
-	// pipeline was short-circuited.
-	RoundsSkippedUnchanged obs.Counter
 	// SuspectsFlagged counts identity flags summed over rounds.
 	SuspectsFlagged obs.Counter
 	// PairsCompared counts pairwise comparisons resolved by a full DTW
 	// computation; PairsPrunedLB those resolved by a lower bound (the
 	// LB_Keogh envelope or an early-abandoned DP scan). Together they sum
-	// to the pairs enumerated over all non-cached rounds — the prune rate
+	// to the pairs enumerated over all rounds — the prune rate
 	// is PairsPrunedLB over that sum, the compare phase's cost model in
 	// one scrape.
 	PairsCompared, PairsPrunedLB obs.Counter
@@ -100,9 +94,7 @@ type Metrics struct {
 	// Kept for name compatibility; the RoundLatency histogram is the
 	// source of truth for latency analysis (percentiles, not just a
 	// mean). When a mean is all you need, the denominator is
-	// rounds_run_total — which includes errored and cache-served rounds,
-	// so the quotient under-reports the cost of a *full* round whenever
-	// the unchanged-round cache is hitting; prefer
+	// rounds_run_total — which includes errored rounds; prefer
 	// RoundLatency.Snapshot().Mean().
 	RoundLatencyNs obs.Counter
 	// ConnsOpened and ConnsClosed count ingest connections.
@@ -151,7 +143,6 @@ func (m *Metrics) Snapshot() map[string]uint64 {
 		"round_errors_total":             m.RoundErrors.Load(),
 		"round_panics_total":             m.RoundPanics.Load(),
 		"rounds_coalesced_total":         m.RoundsCoalesced.Load(),
-		"rounds_skipped_unchanged_total": m.RoundsSkippedUnchanged.Load(),
 		"suspects_flagged_total":         m.SuspectsFlagged.Load(),
 		"pairs_compared_total":           m.PairsCompared.Load(),
 		"pairs_pruned_lb_total":          m.PairsPrunedLB.Load(),
@@ -219,11 +210,10 @@ func (m *Metrics) Instruments(reg *Registry) *obs.Registry {
 	r.Counter("slow_clients_evicted_total", "Connections closed for stalling an event write past the write timeout.", &m.SlowClientsEvicted)
 	r.Counter("connections_force_closed_total", "Connections force-closed after the shutdown drain timeout.", &m.ConnsForceClosed)
 	r.Counter("receivers_rejected_total", "Observations dropped at the registry's receiver capacity.", &m.ReceiversRejected)
-	r.Counter("rounds_run_total", "Detection rounds that returned (successful, errored and cache-served).", &m.RoundsRun)
+	r.Counter("rounds_run_total", "Detection rounds that returned (successful and errored).", &m.RoundsRun)
 	r.Counter("round_errors_total", "Detection rounds that returned an error.", &m.RoundErrors)
 	r.Counter("round_panics_total", "Detection rounds recovered from a panic.", &m.RoundPanics)
 	r.Counter("rounds_coalesced_total", "Scheduled rounds skipped because the previous round was in flight.", &m.RoundsCoalesced)
-	r.Counter("rounds_skipped_unchanged_total", "Rounds served from the unchanged-round cache.", &m.RoundsSkippedUnchanged)
 	r.Counter("suspects_flagged_total", "Identity flags summed over rounds.", &m.SuspectsFlagged)
 	r.Counter("pairs_compared_total", "Pairwise comparisons resolved by a full DTW computation.", &m.PairsCompared)
 	r.Counter("pairs_pruned_lb_total", "Pairwise comparisons skipped on the LB_Keogh lower bound.", &m.PairsPrunedLB)

@@ -35,7 +35,6 @@ func fixedMetrics() *Metrics {
 	m.RoundErrors.Add(2)
 	m.RoundPanics.Add(1)
 	m.RoundsCoalesced.Add(7)
-	m.RoundsSkippedUnchanged.Add(9)
 	m.SuspectsFlagged.Add(12)
 	m.RoundLatencyNs.Add(123456789)
 	m.ConnsOpened.Add(8)

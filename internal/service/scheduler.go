@@ -240,12 +240,9 @@ func (s *Scheduler) round(recv vanet.NodeID, at time.Duration) (out RoundOutcome
 		lag = 0
 	}
 	s.metrics.IngestLag.Observe(lag.Nanoseconds())
-	if res.Cached {
-		s.metrics.RoundsSkippedUnchanged.Add(1)
-	}
 	s.metrics.SuspectsFlagged.Add(uint64(len(res.Suspects)))
-	// Compare-phase work accounting (zeros on cached rounds, which did
-	// none): full DTW computations and lower-bound-pruned pairs.
+	// Compare-phase work accounting: full DTW computations and
+	// lower-bound-pruned pairs.
 	s.metrics.PairsCompared.Add(uint64(res.PairsCompared))
 	s.metrics.PairsPrunedLB.Add(uint64(res.PairsPrunedLB))
 	return out

@@ -81,9 +81,9 @@ type Config struct {
 }
 
 // RoundCoordinator correlates one synchronized sweep of round outcomes
-// across receivers. Implementations must treat the input as read-only —
-// Result values are shared with each monitor's round cache — and return
-// either the input slice or a copy with cloned, adjusted Results.
+// across receivers. Each Result belongs to the sweep alone, so
+// implementations may adjust the Results they are given in place; they
+// return the (possibly adjusted) outcomes.
 type RoundCoordinator interface {
 	Coordinate(outs []RoundOutcome) []RoundOutcome
 }

@@ -138,11 +138,11 @@ func TestParseCampaignConfig(t *testing.T) {
 		t.Fatalf("round-trip mismatch: %+v", got)
 	}
 	for _, bad := range []string{
-		"",               // empty
-		"{",              // truncated
-		`{"kind": 3}`,    // wrong type
-		`{"wat": true}`,  // unknown field
-		`{"kind":"x"}{}`, // trailing document
+		"",                           // empty
+		"{",                          // truncated
+		`{"kind": 3}`,                // wrong type
+		`{"wat": true}`,              // unknown field
+		`{"kind":"x"}{}`,             // trailing document
 		`{"kind":"single-attacker"}`, // fails Validate (zero density)
 	} {
 		if _, err := ParseCampaignConfig([]byte(bad)); err == nil {
