@@ -83,7 +83,7 @@ func FuzzFastDistanceBounds(f *testing.F) {
 // pruning stands on: with a band-matched envelope the LB_Keogh bound
 // never exceeds the banded distance it prunes for, with a full envelope
 // it never exceeds exact DTW or FastDistance, the staircase upper bound
-// never undercuts the banded distance, and the branch-reduced banded
+// never undercuts the banded distance, and the rolling-row banded
 // kernel stays bit-identical to the generic SquaredCost loop.
 func FuzzLBKeogh(f *testing.F) {
 	f.Add([]byte{4, 1, 2, 3, 4, 250, 251, 3, 9}, 1)

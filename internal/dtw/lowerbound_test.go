@@ -195,7 +195,7 @@ func TestBandPathUpperBoundEqualLengths(t *testing.T) {
 	}
 }
 
-// TestBandedKernelBitIdentical pins the branch-reduced interior kernel:
+// TestBandedKernelBitIdentical pins the rolling-row banded kernel:
 // the nil-cost fast path must match the generic SquaredCost loop bit
 // for bit on every cell pattern random ragged series produce.
 func TestBandedKernelBitIdentical(t *testing.T) {

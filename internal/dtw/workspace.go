@@ -18,7 +18,8 @@ import (
 // A Workspace is not safe for concurrent use; use one per goroutine
 // (GetWorkspace/PutWorkspace pool them across rounds).
 type Workspace struct {
-	// Rolling rows for the unconstrained O(N*M)-time, O(M)-memory DP.
+	// Rolling rows for the unconstrained O(N*M)-time, O(M)-memory DP
+	// and the banded kernel.
 	prev, cur []float64
 	// Windowed-DP cell backing and per-row offsets into it.
 	cells []float64
@@ -141,21 +142,6 @@ func (ws *Workspace) Distance(x, y []float64, cost CostFunc) (float64, error) {
 // workspace's own (BandedDistance).
 func (ws *Workspace) ConstrainedDistance(x, y []float64, w *Window, cost CostFunc) (float64, error) {
 	d, _, err := ws.constrained(x, y, w, cost, false, nil)
-	return d, err
-}
-
-// BandedDistance computes DTW under a Sakoe-Chiba band of the given
-// radius, building the band in workspace scratch (no allocation).
-func (ws *Workspace) BandedDistance(x, y []float64, radius int, cost CostFunc) (float64, error) {
-	if len(x) == 0 || len(y) == 0 {
-		return 0, ErrEmptySeries
-	}
-	n, m := len(x), len(y)
-	ws.winLo = growInt(ws.winLo, n)
-	ws.winHi = growInt(ws.winHi, n)
-	ws.win.lo, ws.win.hi = ws.winLo, ws.winHi
-	sakoeChibaFill(&ws.win, m, radius)
-	d, _, err := ws.constrained(x, y, &ws.win, cost, false, nil)
 	return d, err
 }
 
