@@ -76,7 +76,7 @@ func run() error {
 	evictAfter := flag.Duration("evict-after", 0, "drop identities silent this long (0 = 2x observation)")
 	tolerance := flag.Duration("reorder-tolerance", 500*time.Millisecond, "accept observations up to this far out of order")
 	workers := flag.Int("workers", 0, "detection round worker pool size (0 = GOMAXPROCS)")
-	prune := flag.Bool("prune", true, "LB_Keogh candidate pruning in the compare phase (bit-identical verdicts)")
+	prune := flag.Bool("prune", true, "early-abandoning lower-bound pruning in the compare phase (bit-identical verdicts)")
 	fusionOn := flag.Bool("fusion", false, "enable the multi-signal fusion detector: claimed-position consistency per monitor plus cross-receiver co-observation cliques on synchronized rounds")
 	fusionAlpha := flag.Float64("fusion-alpha", 0, "position signal chi-square significance level (0 = default 0.001)")
 	fusionMinCohort := flag.Int("fusion-min-cohort", 0, "fewest testable identities before the position mean test runs (0 = default 4)")

@@ -6,8 +6,9 @@
 //     window (collection),
 //  2. Z-score-normalizes each series (Equation 7, removing spoofed
 //     per-identity TX power offsets), measures every pairwise similarity
-//     with FastDTW, and min-max-normalizes the distance batch into [0,1]
-//     (Equation 8) (comparison), and
+//     with banded DTW (FastDTW in the unconstrained ablation), and
+//     min-max-normalizes the distance batch into [0,1] (Equation 8)
+//     (comparison), and
 //  3. flags every pair whose normalized distance falls at or below the
 //     density-adaptive boundary D <= k*den + b (confirmation); both
 //     members of a flagged pair become Sybil suspects.
@@ -98,22 +99,22 @@ type Config struct {
 	// The zero value (normalization on) is the production behaviour; the
 	// ablation experiment flips this to quantify the effect.
 	DisableLengthNormalization bool
-	// LBPrune enables LB_Keogh lower-bound pruning in the compare phase:
-	// a pair whose cheap O(n) lower bound already exceeds every raw cap
-	// it would have to pass skips the full DTW computation and records
-	// the bound as its Raw (marked Pruned). Flags, Suspects and the raw
-	// distances of unpruned pairs are bit-identical with pruning on or
-	// off — a branch-and-bound pass recomputes just enough pruned pairs
-	// to restore the exact batch min and max before the Equation 8
-	// normalization — but a pruned pair's Raw/Normalized are bounds, not
-	// distances. The zero value (off) is the bare-library default so
-	// training-data harvesting and the figure pipelines keep seeing true
-	// distances; deployments flip it on (voiceprintd does by default).
-	// Pruning requires a Sakoe-Chiba band: with BandRadius < 0
+	// LBPrune enables lower-bound pruning in the compare phase: the banded
+	// DP abandons a pair as soon as a row minimum (a lower bound on the
+	// final distance) exceeds every raw cap the pair would have to pass,
+	// and the pair records that bound as its Raw (marked Pruned). Flags,
+	// Suspects and the raw distances of unpruned pairs are bit-identical
+	// with pruning on or off — a branch-and-bound pass recomputes just
+	// enough pruned pairs to restore the exact batch min and max before
+	// the Equation 8 normalization — but a pruned pair's Raw/Normalized
+	// are bounds, not distances. The zero value (off) is the bare-library
+	// default so training-data harvesting and the figure pipelines keep
+	// seeing true distances; deployments flip it on (voiceprintd does by
+	// default). Pruning requires a Sakoe-Chiba band: with BandRadius < 0
 	// (unconstrained-FastDTW ablation) the flag is ignored, and without
 	// any raw cap configured there is no threshold to prune against.
 	LBPrune bool
-	// Workers bounds the goroutines used for the O(n²) pairwise FastDTW
+	// Workers bounds the goroutines used for the O(n²) pairwise DTW
 	// comparison phase. Each pair is independent and results land in
 	// preassigned slots, so the outcome is bit-identical at any worker
 	// count. Zero means GOMAXPROCS; 1 forces the sequential path.
@@ -223,11 +224,11 @@ type PairDistance struct {
 	Normalized float64
 	// Flagged reports whether the pair fell under the boundary.
 	Flagged bool
-	// Pruned reports that the pair was skipped by lower-bound pruning
-	// (Config.LBPrune): either the LB_Keogh envelope bound or the banded
-	// DP's early-abandoned prefix minimum. Raw and Normalized then hold
-	// the bound, which already exceeds every cap the pair would need to
-	// pass, not the true distance. Pruned pairs are never flagged.
+	// Pruned reports that lower-bound pruning (Config.LBPrune) abandoned
+	// the pair's banded DP scan. Raw and Normalized then hold the scan's
+	// prefix minimum, a bound which already exceeds every cap the pair
+	// would need to pass, not the true distance. Pruned pairs are never
+	// flagged.
 	Pruned bool
 }
 
@@ -259,9 +260,8 @@ type Result struct {
 	Confirmed map[vanet.NodeID]bool
 	// PairsCompared counts the pairs whose DTW distance was computed in
 	// full this round (including pairs the extremes repair recomputed);
-	// PairsPrunedLB the pairs resolved by a lower bound — the LB_Keogh
-	// envelope or the banded DP's early-abandoned prefix minimum. The two
-	// always sum to len(Pairs).
+	// PairsPrunedLB the pairs left Pruned, resolved by the banded DP's
+	// early-abandoned prefix minimum. The two always sum to len(Pairs).
 	PairsCompared int
 	PairsPrunedLB int
 	// Signals is the per-identity, per-signal attribution map, populated
@@ -286,27 +286,11 @@ type roundScratch struct {
 	norm       []float64
 	med        []float64 // median-filter scratch (sorted in place)
 	noise      stats.AR1NoiseEstimator
-	// Compare-phase pruning state: how each pair was resolved, the
-	// LB_Keogh envelope arena (two slices per identity into envVals),
-	// and the branch-and-bound working set (pair order + upper bounds).
-	state   []uint8
-	envVals []float64
-	envLo   [][]float64
-	envHi   [][]float64
-	order   []int32
-	ubs     []float64
+	// Branch-and-bound working set of the extremes repair: pair order
+	// and upper bounds.
+	order []int32
+	ubs   []float64
 }
-
-// Pair resolution states, recorded per pair in roundScratch.state. The
-// counters on Result are a post-round scan of these, which keeps the
-// parallel claim loop free of shared accounting.
-const (
-	statePending   uint8 = iota // not resolved yet
-	stateExact                  // full DTW computed this round
-	statePruned                 // skipped on the LB_Keogh lower bound
-	stateAbandoned              // DP scan abandoned once its prefix bound cleared the cap
-	stateRepaired               // recomputed exactly by the extremes repair
-)
 
 var scratchPool = sync.Pool{New: func() any { return new(roundScratch) }}
 
@@ -369,7 +353,7 @@ func (d *Detector) detect(series map[vanet.NodeID]*timeseries.Series, density fl
 	}
 
 	// Phase 2 — comparison: Z-score normalize into the value arena,
-	// pairwise FastDTW on per-worker workspaces, then min-max normalize
+	// pairwise banded DTW on per-worker workspaces, then min-max normalize
 	// the distance batch. Everything is indexed by position in the sorted
 	// sc.ids (not by NodeID maps), so lookups are array reads.
 	sc.vals = sc.vals[:0]
@@ -408,18 +392,16 @@ func (d *Detector) detect(series map[vanet.NodeID]*timeseries.Series, density fl
 		return nil, err
 	}
 	res.Pairs = pairs
-	for k := range pairs {
-		switch sc.state[k] {
-		case stateExact, stateRepaired:
-			res.PairsCompared++
-		case statePruned, stateAbandoned:
-			res.PairsPrunedLB++
-		}
-	}
+	// The extremes repair clears Pruned on every pair it recomputes, so
+	// the pairs still marked are exactly those resolved by a bound.
 	sc.raws = sc.raws[:0]
 	for _, p := range pairs {
+		if p.Pruned {
+			res.PairsPrunedLB++
+		}
 		sc.raws = append(sc.raws, p.Raw)
 	}
+	res.PairsCompared = len(pairs) - res.PairsPrunedLB
 	if cap(sc.norm) < len(sc.raws) {
 		sc.norm = make([]float64, len(sc.raws))
 	}
@@ -489,31 +471,21 @@ func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance) ([]PairDis
 	}
 	pairs := buf[:0]
 	sc.pairIdx = sc.pairIdx[:0]
-	if cap(sc.state) < np {
-		sc.state = make([]uint8, np)
-	}
-	sc.state = sc.state[:np]
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			pd := PairDistance{A: sc.ids[i], B: sc.ids[j]}
 			if d.cfg.AdaptiveCapKappa > 0 {
 				pd.NoiseCap = d.cfg.AdaptiveCapKappa * (sc.noiseVar[i] + sc.noiseVar[j])
 			}
-			sc.state[len(pairs)] = statePending
 			pairs = append(pairs, pd)
 			sc.pairIdx = append(sc.pairIdx, [2]int32{int32(i), int32(j)})
 		}
 	}
-	// Pruning needs a Sakoe-Chiba band (the envelope radius derives from
-	// it; the unconstrained-FastDTW ablation has no usable band) and at
-	// least one configured raw cap to prune against.
+	// Pruning needs a Sakoe-Chiba band (the unconstrained-FastDTW
+	// ablation has no abandoning DP) and at least one configured raw cap
+	// to prune against.
 	prune := d.cfg.LBPrune && d.cfg.BandRadius >= 0 &&
 		(d.cfg.AdaptiveCapKappa > 0 || d.cfg.AbsoluteRawCap > 0)
-	if prune {
-		if err := d.fillEnvelopes(sc); err != nil {
-			return nil, err
-		}
-	}
 	workers := d.cfg.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -576,61 +548,10 @@ func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance) ([]PairDis
 	return pairs, nil
 }
 
-// fillEnvelopes computes the LB_Keogh envelope of every normalized
-// series into the round arena. One radius serves the whole round: it
-// must cover every cell a band of BandRadius may visit against any
-// partner (dtw.LBKeogh's admissibility contract asks for the band
-// radius plus the length difference plus two), so the round's widest
-// length spread is used — wider envelopes only weaken bounds, never
-// break them.
-func (d *Detector) fillEnvelopes(sc *roundScratch) error {
-	minLen, maxLen := 0, 0
-	for i, z := range sc.normalized {
-		if i == 0 || len(z) < minLen {
-			minLen = len(z)
-		}
-		if len(z) > maxLen {
-			maxLen = len(z)
-		}
-	}
-	// Round the radius up to a bucket boundary: a wider envelope is
-	// still admissible, and a radius that holds still while the round's
-	// length spread drifts inside the bucket keeps a pair's recorded
-	// LB_Keogh bound stable from round to round.
-	envR := d.cfg.BandRadius + (maxLen - minLen) + 2
-	envR = (envR + 7) &^ 7
-	need := 2 * len(sc.vals)
-	if cap(sc.envVals) < need {
-		sc.envVals = make([]float64, need)
-	}
-	sc.envVals = sc.envVals[:need]
-	sc.envLo = sc.envLo[:0]
-	sc.envHi = sc.envHi[:0]
-	ws := dtw.GetWorkspace()
-	defer dtw.PutWorkspace(ws)
-	off := 0
-	for _, z := range sc.normalized {
-		m := len(z)
-		lo := sc.envVals[off : off+m : off+m]
-		off += m
-		hi := sc.envVals[off : off+m : off+m]
-		off += m
-		lo, hi, err := ws.EnvelopeInto(lo, hi, z, envR)
-		if err != nil {
-			return fmt.Errorf("core: envelope: %w", err)
-		}
-		sc.envLo = append(sc.envLo, lo)
-		sc.envHi = append(sc.envHi, hi)
-	}
-	return nil
-}
-
-// resolvePair resolves pair k: prune on the LB_Keogh bound when it
-// already exceeds every cap the pair would need to pass, else run the
-// banded DP with early abandoning against the same cap (falling back to
-// the plain comparison when pruning is off or no cap governs the pair).
-// It writes only pairs[k] and sc.state[k], so workers never share
-// mutable state.
+// resolvePair resolves pair k: run the banded DP with early abandoning
+// against the cap the pair would need to pass (falling back to the plain
+// comparison when pruning is off or no cap governs the pair). It writes
+// only pairs[k], so workers never share mutable state.
 func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []PairDistance, k int, prune bool) error {
 	ij := sc.pairIdx[k]
 	a, b := sc.normalized[ij[0]], sc.normalized[ij[1]]
@@ -648,37 +569,16 @@ func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []Pair
 			t = d.cfg.AbsoluteRawCap
 		}
 	}
-	if prune {
-		lb := dtw.LBKeogh(a, sc.envLo[ij[1]], sc.envHi[ij[1]])
-		if lb2 := dtw.LBKeogh(b, sc.envLo[ij[0]], sc.envHi[ij[0]]); lb2 > lb {
-			lb = lb2
-		}
-		if lb = d.perSample(lb, a, b); lb > t {
-			p.Raw = lb
-			p.Pruned = true
-			sc.state[k] = statePruned
-			return nil
-		}
-	}
 	if !math.IsInf(t, 1) {
 		raw, abandoned, err := ws.BandedDistanceAbandon(a, b, d.cfg.BandRadius, d.normDiv(a, b), t)
 		if err != nil {
 			return fmt.Errorf("core: compare %d/%d: %w", p.A, p.B, err)
 		}
 		p.Raw = d.perSample(raw, a, b)
-		if abandoned {
-			p.Pruned = true
-			sc.state[k] = stateAbandoned
-		} else {
-			sc.state[k] = stateExact
-		}
+		p.Pruned = abandoned
 		return nil
 	}
-	if err := d.comparePairAt(ws, p, a, b); err != nil {
-		return err
-	}
-	sc.state[k] = stateExact
-	return nil
+	return d.comparePairAt(ws, p, a, b)
 }
 
 // restoreBatchExtremes is the branch-and-bound repair pass that makes
@@ -803,7 +703,6 @@ func (d *Detector) unprune(ws *dtw.Workspace, sc *roundScratch, pairs []PairDist
 		return err
 	}
 	p.Pruned = false
-	sc.state[k] = stateRepaired
 	if p.Raw < *minE {
 		*minE = p.Raw
 	}

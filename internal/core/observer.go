@@ -6,8 +6,8 @@ import "time"
 // The stages partition a round's wall-clock time: window extraction and
 // density estimation happen under the Monitor's lock before the detector
 // runs, the remaining stages are Detector.Detect's three algorithm
-// phases with comparison split from confirmation (pairwise FastDTW is
-// the round's O(n²) heart and the quantity Table VI tracks against
+// phases with comparison split from confirmation (pairwise DTW is the
+// round's O(n²) heart and the quantity Table VI tracks against
 // density, so it gets its own bucket).
 type Stage uint8
 
@@ -22,7 +22,7 @@ const (
 	// StageNormalize Z-scores every usable series (Equation 7) and
 	// estimates per-series noise for the adaptive cap.
 	StageNormalize
-	// StageCompare runs the pairwise FastDTW loop and the Equation 8
+	// StageCompare runs the pairwise DTW loop and the Equation 8
 	// min-max normalization of the distance batch.
 	StageCompare
 	// StageConfirm evaluates the density-adaptive boundary and the raw-

@@ -77,6 +77,7 @@ func TestLBPruneEquivalence(t *testing.T) {
 					}
 					anchor = true
 				}
+				prunedBefore := pruned
 				for i, p := range fast.Pairs {
 					e := exact.Pairs[i]
 					if p.A != e.A || p.B != e.B {
@@ -102,6 +103,9 @@ func TestLBPruneEquivalence(t *testing.T) {
 					if anchor && p.Normalized != e.Normalized {
 						t.Fatalf("seed %d pair %d: normalized %v != exact %v", seed, i, p.Normalized, e.Normalized)
 					}
+				}
+				if marked := pruned - prunedBefore; fast.PairsPrunedLB != marked {
+					t.Fatalf("seed %d: PairsPrunedLB %d, but %d pairs are marked Pruned", seed, fast.PairsPrunedLB, marked)
 				}
 				if got := fast.PairsCompared + fast.PairsPrunedLB; got != len(fast.Pairs) {
 					t.Fatalf("seed %d: counters sum to %d, want %d", seed, got, len(fast.Pairs))
@@ -172,36 +176,34 @@ func TestCompareWorkersAbortOnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build the round scratch by hand: 150 identities sharing one valid
-	// series, except identity 0 whose series is empty — the very first
-	// claimed pair fails inside the DTW kernel.
+	// Build the round scratch by hand: 150 identities with distinct
+	// valid series (scaled copies of one shape, so every resolved pair
+	// gets a non-zero Raw), except identity 0 whose series is empty — the
+	// very first claimed pair fails inside the DTW kernel.
 	const n = 150
-	valid := make([]float64, 120)
-	for i := range valid {
-		valid[i] = float64(i % 17)
-	}
 	sc := &roundScratch{}
 	for i := 0; i < n; i++ {
 		sc.ids = append(sc.ids, vanet.NodeID(i))
 		sc.noiseVar = append(sc.noiseVar, 0)
-		if i == 0 {
-			sc.normalized = append(sc.normalized, nil)
-		} else {
-			sc.normalized = append(sc.normalized, valid)
+		var z []float64
+		for k := 0; i > 0 && k < 120; k++ {
+			z = append(z, float64(i*(k%17)))
 		}
+		sc.normalized = append(sc.normalized, z)
 	}
-	if _, err := d.comparePairs(sc, nil); err == nil {
+	np := n * (n - 1) / 2
+	buf := make([]PairDistance, 0, np) // comparePairs fills it in place
+	if _, err := d.comparePairs(sc, buf); err == nil {
 		t.Fatal("comparePairs should fail on the empty series")
 	}
 	resolved := 0
-	for _, st := range sc.state {
-		if st != statePending {
+	for _, p := range buf[:np] {
+		if p.Raw != 0 {
 			resolved++
 		}
 	}
-	np := n * (n - 1) / 2
-	// Without the abort flag every worker drains the whole queue
-	// (resolved == np-1). With it, only pairs already in flight when the
+	// Without the abort flag every worker drains the whole queue (every
+	// pair not involving identity 0 resolves). With it, only pairs already in flight when the
 	// error landed complete; anything near the full count means the
 	// abort signal is not consulted.
 	if resolved > np/4 {

@@ -33,8 +33,6 @@ type Workspace struct {
 	lvlX, lvlY   [][]float64
 	sizes        []lvlDims
 	pathA, pathB Path
-	// Monotone index deque behind EnvelopeInto's sliding extrema.
-	deq []int
 }
 
 // lvlDims is one FastDTW pyramid level's series lengths.

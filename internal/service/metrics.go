@@ -66,11 +66,10 @@ type Metrics struct {
 	// SuspectsFlagged counts identity flags summed over rounds.
 	SuspectsFlagged obs.Counter
 	// PairsCompared counts pairwise comparisons resolved by a full DTW
-	// computation; PairsPrunedLB those resolved by a lower bound (the
-	// LB_Keogh envelope or an early-abandoned DP scan). Together they sum
-	// to the pairs enumerated over all rounds — the prune rate
-	// is PairsPrunedLB over that sum, the compare phase's cost model in
-	// one scrape.
+	// computation; PairsPrunedLB those resolved by a lower bound (an
+	// early-abandoned DP scan). Together they sum to the pairs enumerated
+	// over all rounds — the prune rate is PairsPrunedLB over that sum,
+	// the compare phase's cost model in one scrape.
 	PairsCompared, PairsPrunedLB obs.Counter
 	// Deprecated: PairsReusedDirty always reads zero and is not exported
 	// on /metrics; the dirty-pair cache it counted was removed. It is
@@ -216,7 +215,7 @@ func (m *Metrics) Instruments(reg *Registry) *obs.Registry {
 	r.Counter("rounds_coalesced_total", "Scheduled rounds skipped because the previous round was in flight.", &m.RoundsCoalesced)
 	r.Counter("suspects_flagged_total", "Identity flags summed over rounds.", &m.SuspectsFlagged)
 	r.Counter("pairs_compared_total", "Pairwise comparisons resolved by a full DTW computation.", &m.PairsCompared)
-	r.Counter("pairs_pruned_lb_total", "Pairwise comparisons skipped on the LB_Keogh lower bound.", &m.PairsPrunedLB)
+	r.Counter("pairs_pruned_lb_total", "Pairwise comparisons abandoned once their DTW lower bound cleared the cap.", &m.PairsPrunedLB)
 	r.Counter("round_latency_ns_total", "Wall-clock nanoseconds summed over rounds; round_latency_ns is the source of truth, divide by rounds_run_total for a mean across all returned rounds.", &m.RoundLatencyNs)
 	r.Counter("connections_opened_total", "Ingest connections accepted.", &m.ConnsOpened)
 	r.Counter("connections_closed_total", "Ingest connections closed.", &m.ConnsClosed)

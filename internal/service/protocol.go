@@ -12,7 +12,7 @@
 //   - registry: a concurrency-safe shard of per-receiver core.Monitor
 //     instances,
 //   - scheduler: a bounded worker pool running detection rounds (the
-//     O(n²) pairwise FastDTW phase additionally parallelizes inside
+//     O(n²) pairwise DTW phase additionally parallelizes inside
 //     core via Config.Workers),
 //   - server: TCP/Unix listeners with bounded per-connection ingest
 //     buffers (explicit drop accounting instead of unbounded memory),

@@ -31,7 +31,7 @@ type RoundOutcome struct {
 
 // Scheduler runs detection rounds over the registry's receivers on a
 // bounded worker pool: rounds for different receivers run in parallel
-// (each additionally parallelizing its pairwise FastDTW phase via
+// (each additionally parallelizing its pairwise DTW phase via
 // core's Config.Workers), while rounds for one receiver never overlap —
 // a tick that lands while the previous round is still running is
 // coalesced, not queued, so a slow receiver cannot build an unbounded

@@ -17,7 +17,7 @@ import (
 // campaign (two radios handing one Sybil identity pool back and forth —
 // the hardest scenario the scorecard grades) through the live daemon
 // and pins verdict equality across every axis that must not move a
-// verdict: LB_Keogh pruning on vs off, reorder-only transport chaos,
+// verdict: lower-bound pruning on vs off, reorder-only transport chaos,
 // and crash-recovery vs graceful restart.
 
 var (
@@ -81,7 +81,7 @@ func countConfirmed(rep Report) int {
 	return n
 }
 
-// TestCampaignPruneInvariance: LB_Keogh pruning is a pure optimization,
+// TestCampaignPruneInvariance: lower-bound pruning is a pure optimization,
 // so a clean replay of the colluding-fleet campaign must confirm the
 // exact same identity sets with pruning on and off.
 func TestCampaignPruneInvariance(t *testing.T) {

@@ -41,7 +41,7 @@ func chaosServiceConfig() service.Config {
 	det := core.DefaultConfig(lda.Boundary{K: 0.000025, B: 0.0067})
 	// Pruning on, as voiceprintd deploys it: every fixture in this
 	// package compares confirmed sets against pruning-off expectations,
-	// so the whole suite doubles as the end-to-end proof that LB_Keogh
+	// so the whole suite doubles as the end-to-end proof that lower-bound
 	// pruning never moves a verdict.
 	det.LBPrune = true
 	return service.Config{
