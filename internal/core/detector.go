@@ -769,9 +769,9 @@ func (d *Detector) normDiv(a, b []float64) float64 {
 // voiceprintvet:noescape
 func (d *Detector) compare(ws *dtw.Workspace, a, b []float64) (float64, error) {
 	if d.cfg.BandRadius < 0 {
-		return ws.FastDistance(a, b, d.cfg.FastDTWRadius, nil)
+		return ws.FastDistance(a, b, d.cfg.FastDTWRadius)
 	}
-	return ws.BandedDistance(a, b, d.cfg.BandRadius, nil)
+	return ws.BandedDistance(a, b, d.cfg.BandRadius)
 }
 
 // Config returns the detector's effective configuration.

@@ -34,7 +34,7 @@ func TestBandedDistanceAbandonExactBitIdentical(t *testing.T) {
 		y := abandonRandSeries(rng, m)
 		radius := rng.Intn(12)
 		norm := float64(max(n, m))
-		want, err := ws2.BandedDistance(x, y, radius, nil)
+		want, err := ws2.BandedDistance(x, y, radius)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestBandedDistanceAbandonAdmissible(t *testing.T) {
 		y := abandonRandSeries(rng, m)
 		radius := rng.Intn(12)
 		norm := float64(max(n, m))
-		exact, err := ws2.BandedDistance(x, y, radius, nil)
+		exact, err := ws2.BandedDistance(x, y, radius)
 		if err != nil {
 			t.Fatal(err)
 		}

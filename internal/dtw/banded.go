@@ -14,17 +14,9 @@ import (
 const abandonStride = 4
 
 // BandedDistance computes DTW under a Sakoe-Chiba band of the given
-// radius, building the band in workspace scratch (no allocation). The
-// squared cost (nil cost) runs the rolling-row banded kernel; any other
-// cost runs the generic windowed DP.
-func (ws *Workspace) BandedDistance(x, y []float64, radius int, cost CostFunc) (float64, error) {
-	if cost != nil {
-		if err := ws.band(x, y, radius); err != nil {
-			return 0, err
-		}
-		d, _, err := ws.constrained(x, y, &ws.win, cost, false, nil)
-		return d, err
-	}
+// radius, building the band in workspace scratch (no allocation) and
+// running the rolling-row banded kernel over it.
+func (ws *Workspace) BandedDistance(x, y []float64, radius int) (float64, error) {
 	d, _, err := ws.banded(x, y, radius, 1, math.Inf(1))
 	return d, err
 }
@@ -48,8 +40,9 @@ func (ws *Workspace) BandedDistance(x, y []float64, radius int, cost CostFunc) (
 // ±Inf, or values large enough to overflow a DP cell) are never
 // abandoned; the scan completes and returns BandedDistance's result.
 //
-// The result is a pure function of (x, y, radius, norm, cutoff): callers
-// that cache abandoned outcomes can replay them deterministically.
+// The result is a pure function of (x, y, radius, norm, cutoff): it does
+// not depend on which workspace runs the pair or what that workspace ran
+// before.
 func (ws *Workspace) BandedDistanceAbandon(x, y []float64, radius int, norm, cutoff float64) (float64, bool, error) {
 	if len(x) == 0 || len(y) == 0 {
 		return 0, false, ErrEmptySeries
@@ -82,7 +75,7 @@ func (ws *Workspace) banded(x, y []float64, radius int, norm, cutoff float64) (f
 		return 0, false, err
 	}
 	if !kernelRange(x, y) {
-		d, _, err := ws.constrained(x, y, &ws.win, nil, false, nil)
+		d, _, err := ws.constrained(x, y, &ws.win, false, nil)
 		return d, false, err
 	}
 	m := len(y)

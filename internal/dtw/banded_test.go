@@ -22,7 +22,7 @@ func refBanded(x, y []float64, radius int, norm, cutoff float64) (float64, bool,
 		return 0, false, ErrEmptySeries
 	}
 	n, m := len(x), len(y)
-	w := SakoeChiba(n, m, radius)
+	w := sakoeChiba(n, m, radius)
 	if err := w.validate(n, m); err != nil {
 		return 0, false, err
 	}
@@ -232,10 +232,10 @@ func FuzzBandedKernel(f *testing.F) {
 		want, _, wantErr := refBanded(x, y, radius, 1, math.Inf(1))
 		ws := NewWorkspace()
 		// Dirty the rolling rows and band scratch with a swapped pair.
-		_, _ = ws.BandedDistance(y, x, radius, nil)
+		_, _ = ws.BandedDistance(y, x, radius)
 		_, _, _ = ws.BandedDistanceAbandon(y, x, radius, norm, 0)
 
-		got, err := ws.BandedDistance(x, y, radius, nil)
+		got, err := ws.BandedDistance(x, y, radius)
 		sameOutcome(t, "BandedDistance", got, false, err, want, false, wantErr)
 
 		cutoff := math.Inf(1)
@@ -312,13 +312,13 @@ func BenchmarkBandedCell(b *testing.B) {
 	for k := range xs {
 		xs[k] = zAR1(rng, 160+rng.Intn(21), 0.8)
 		ys[k] = zAR1(rng, 160+rng.Intn(21), 0.8)
-		cells += SakoeChiba(len(xs[k]), len(ys[k]), radius).Size()
+		cells += sakoeChiba(len(xs[k]), len(ys[k]), radius).size()
 	}
 	ws := NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := range xs {
-			if _, err := ws.BandedDistance(xs[k], ys[k], radius, nil); err != nil {
+			if _, err := ws.BandedDistance(xs[k], ys[k], radius); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,13 @@
 // Package dtw implements Dynamic Time Warping exactly as defined in the
 // paper's Equations 3-6 (squared pointwise cost, accumulated-cost recursion,
-// boundary and monotonicity constraints), plus the FastDTW approximation of
-// Salvador & Chan used by the Voiceprint detector for O(N) comparison.
+// boundary and monotonicity constraints). The Voiceprint detector compares
+// pairs with Sakoe-Chiba banded DTW (BandedDistance, BandedDistanceAbandon);
+// the linear-time multilevel approximation of Salvador & Chan
+// (FastDistance) serves its BandRadius < 0 ablation.
+//
+// The local cost is always Equation 3's squared difference, and every
+// squared term is written float64(d*d) so no architecture fuses it into
+// the following add: distances are the same bits on amd64 and arm64.
 //
 // Every distance variant runs on reusable scratch memory (Workspace): the
 // package-level functions borrow a pooled workspace per call, and hot
@@ -9,42 +15,17 @@
 // goroutine so thousands of comparisons per round allocate nothing.
 package dtw
 
-import (
-	"errors"
-	"math"
-)
-
-// CostFunc measures the local cost of matching two points.
-//
-// A nil CostFunc selects the squared cost of Equation 3 via an inline
-// fast path (no indirect calls). Passing SquaredCost explicitly computes
-// the same distances through the generic (slower) path — the nil
-// sentinel is the only fast-path trigger, deliberately: detecting
-// "is this SquaredCost?" by comparing function pointers breaks under
-// wrapping and inlining.
-type CostFunc func(a, b float64) float64
-
-// SquaredCost is the paper's Equation 3: c(i,j) = (x_i - y_j)^2.
-func SquaredCost(a, b float64) float64 {
-	d := a - b
-	return d * d
-}
-
-// AbsCost is the Manhattan pointwise cost |x_i - y_j|, provided for
-// comparison experiments.
-func AbsCost(a, b float64) float64 {
-	return math.Abs(a - b)
-}
+import "errors"
 
 // ErrEmptySeries is returned when either input series is empty.
 var ErrEmptySeries = errors.New("dtw: empty series")
 
-// Distance computes the exact DTW distance between x and y with the given
-// cost function (nil means SquaredCost). It runs in O(N*M) time and O(M)
-// memory (two rolling rows, no path reconstruction), on pooled scratch.
-func Distance(x, y []float64, cost CostFunc) (float64, error) {
+// Distance computes the exact DTW distance between x and y. It runs in
+// O(N*M) time and O(M) memory (two rolling rows, no path reconstruction),
+// on pooled scratch.
+func Distance(x, y []float64) (float64, error) {
 	ws := GetWorkspace()
-	d, err := ws.Distance(x, y, cost)
+	d, err := ws.Distance(x, y)
 	PutWorkspace(ws)
 	return d, err
 }
@@ -52,29 +33,12 @@ func Distance(x, y []float64, cost CostFunc) (float64, error) {
 // DistanceWithPath computes the exact DTW distance and the optimal warp
 // path. It needs O(N*M) memory for backtracking, so prefer Distance when
 // the path is not needed.
-func DistanceWithPath(x, y []float64, cost CostFunc) (float64, Path, error) {
+func DistanceWithPath(x, y []float64) (float64, Path, error) {
 	if len(x) == 0 || len(y) == 0 {
 		return 0, nil, ErrEmptySeries
 	}
 	ws := GetWorkspace()
-	d, path, err := ws.fullPath(x, y, cost, nil)
+	d, path, err := ws.fullPath(x, y, nil)
 	PutWorkspace(ws)
 	return d, path, err
-}
-
-// constrainedDistance runs the windowed DTW recursion on a pooled
-// workspace; see Workspace.constrained for the contract.
-func constrainedDistance(x, y []float64, w *Window, cost CostFunc, wantPath bool) (float64, Path, error) {
-	ws := GetWorkspace()
-	d, path, err := ws.constrained(x, y, w, cost, wantPath, nil)
-	PutWorkspace(ws)
-	return d, path, err
-}
-
-// ConstrainedDistance computes DTW restricted to a window (e.g. a
-// Sakoe-Chiba band). The result is an upper bound on the unconstrained
-// distance.
-func ConstrainedDistance(x, y []float64, w *Window, cost CostFunc) (float64, error) {
-	d, _, err := constrainedDistance(x, y, w, cost, false)
-	return d, err
 }

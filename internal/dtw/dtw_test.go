@@ -9,9 +9,10 @@ import (
 
 // bruteForce computes the DTW distance by exhaustive memoized recursion,
 // independent of the production DP, for cross-checking.
-func bruteForce(x, y []float64, cost CostFunc) float64 {
-	if cost == nil {
-		cost = SquaredCost
+func bruteForce(x, y []float64) float64 {
+	cost := func(a, b float64) float64 {
+		d := a - b
+		return float64(d * d)
 	}
 	memo := make(map[[2]int]float64)
 	var rec func(i, j int) float64
@@ -43,11 +44,11 @@ func bruteForce(x, y []float64, cost CostFunc) float64 {
 func TestDTWPaperExample(t *testing.T) {
 	x := []float64{1, 1, 4, 1, 1}
 	y := []float64{2, 2, 2, 4, 2, 2}
-	got, err := Distance(x, y, nil)
+	got, err := Distance(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := bruteForce(x, y, nil); got != want {
+	if want := bruteForce(x, y); got != want {
 		t.Errorf("Distance = %v, brute force = %v", got, want)
 	}
 	if got != 5 {
@@ -57,7 +58,7 @@ func TestDTWPaperExample(t *testing.T) {
 
 func TestDistanceIdenticalSeriesIsZero(t *testing.T) {
 	x := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	d, err := Distance(x, x, nil)
+	d, err := Distance(x, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +68,14 @@ func TestDistanceIdenticalSeriesIsZero(t *testing.T) {
 }
 
 func TestDistanceSingletons(t *testing.T) {
-	d, err := Distance([]float64{2}, []float64{5}, nil)
+	d, err := Distance([]float64{2}, []float64{5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d != 9 {
 		t.Errorf("Distance([2],[5]) = %v, want 9", d)
 	}
-	d, err = Distance([]float64{2}, []float64{5, 5, 5}, nil)
+	d, err = Distance([]float64{2}, []float64{5, 5, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,32 +85,20 @@ func TestDistanceSingletons(t *testing.T) {
 }
 
 func TestDistanceEmptyErrors(t *testing.T) {
-	if _, err := Distance(nil, []float64{1}, nil); err != ErrEmptySeries {
+	if _, err := Distance(nil, []float64{1}); err != ErrEmptySeries {
 		t.Errorf("err = %v, want ErrEmptySeries", err)
 	}
-	if _, err := Distance([]float64{1}, nil, nil); err != ErrEmptySeries {
+	if _, err := Distance([]float64{1}, nil); err != ErrEmptySeries {
 		t.Errorf("err = %v, want ErrEmptySeries", err)
 	}
-	if _, _, err := DistanceWithPath(nil, nil, nil); err != ErrEmptySeries {
+	if _, _, err := DistanceWithPath(nil, nil); err != ErrEmptySeries {
 		t.Errorf("err = %v, want ErrEmptySeries", err)
 	}
-	if _, _, err := FastDTW(nil, []float64{1}, 1, nil); err != ErrEmptySeries {
+	if _, _, err := fastDTW(nil, []float64{1}, 1); err != ErrEmptySeries {
 		t.Errorf("err = %v, want ErrEmptySeries", err)
 	}
-	if _, err := FastDistance([]float64{1}, nil, 1, nil); err != ErrEmptySeries {
+	if _, err := FastDistance([]float64{1}, nil, 1); err != ErrEmptySeries {
 		t.Errorf("err = %v, want ErrEmptySeries", err)
-	}
-}
-
-func TestDistanceAbsCost(t *testing.T) {
-	x := []float64{0, 0}
-	y := []float64{3}
-	d, err := Distance(x, y, AbsCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 6 {
-		t.Errorf("abs-cost distance = %v, want 6", d)
 	}
 }
 
@@ -120,11 +109,11 @@ func TestDistanceWithPathMatchesDistance(t *testing.T) {
 		m := 1 + rng.Intn(40)
 		x := randomSeries(n, rng)
 		y := randomSeries(m, rng)
-		d1, err := Distance(x, y, nil)
+		d1, err := Distance(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d2, path, err := DistanceWithPath(x, y, nil)
+		d2, path, err := DistanceWithPath(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +123,7 @@ func TestDistanceWithPathMatchesDistance(t *testing.T) {
 		if err := path.Validate(n, m); err != nil {
 			t.Fatalf("invalid path: %v", err)
 		}
-		if pc := path.Cost(x, y, nil); math.Abs(pc-d1) > 1e-9 {
+		if pc := pathCost(path, x, y); math.Abs(pc-d1) > 1e-9 {
 			t.Fatalf("path cost %v != distance %v", pc, d1)
 		}
 	}
@@ -145,11 +134,11 @@ func TestDistanceMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		x := randomSeries(1+rng.Intn(12), rng)
 		y := randomSeries(1+rng.Intn(12), rng)
-		got, err := Distance(x, y, nil)
+		got, err := Distance(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bruteForce(x, y, nil)
+		want := bruteForce(x, y)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("Distance=%v bruteForce=%v x=%v y=%v", got, want, x, y)
 		}
@@ -162,8 +151,8 @@ func TestDistanceSymmetryProperty(t *testing.T) {
 		ry := rand.New(rand.NewSource(seedY))
 		x := randomSeries(1+rx.Intn(30), rx)
 		y := randomSeries(1+ry.Intn(30), ry)
-		d1, err1 := Distance(x, y, nil)
-		d2, err2 := Distance(y, x, nil)
+		d1, err1 := Distance(x, y)
+		d2, err2 := Distance(y, x)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -179,7 +168,7 @@ func TestDistanceNonNegativeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		x := randomSeries(1+rng.Intn(30), rng)
 		y := randomSeries(1+rng.Intn(30), rng)
-		d, err := Distance(x, y, nil)
+		d, err := Distance(x, y)
 		return err == nil && d >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -201,7 +190,7 @@ func TestDistanceTimeShiftTolerance(t *testing.T) {
 	}
 	x := base[:n]
 	y := base[3 : n+3] // shifted by 3 samples
-	dtwDist, err := Distance(x, y, nil)
+	dtwDist, err := Distance(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,45 +201,6 @@ func TestDistanceTimeShiftTolerance(t *testing.T) {
 	}
 	if dtwDist >= euclid/4 {
 		t.Errorf("DTW (%v) should absorb a 3-sample shift far better than pointwise (%v)", dtwDist, euclid)
-	}
-}
-
-func TestLpDistance(t *testing.T) {
-	x := []float64{0, 0, 0}
-	y := []float64{1, 2, 2}
-	l1, err := LpDistance(x, y, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l1 != 5 {
-		t.Errorf("L1 = %v, want 5", l1)
-	}
-	l2, err := LpDistance(x, y, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(l2, 3, 1e-12) {
-		t.Errorf("L2 = %v, want 3", l2)
-	}
-	l3, err := LpDistance(x, y, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Pow(1+8+8, 1.0/3)
-	if !almostEq(l3, want, 1e-12) {
-		t.Errorf("L3 = %v, want %v", l3, want)
-	}
-}
-
-func TestLpDistanceErrors(t *testing.T) {
-	if _, err := LpDistance(nil, []float64{1}, 2); err != ErrEmptySeries {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := LpDistance([]float64{1}, []float64{1, 2}, 2); err != ErrLengthMismatch {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := LpDistance([]float64{1}, []float64{1}, 0); err == nil {
-		t.Error("p=0 should error")
 	}
 }
 
@@ -288,7 +238,7 @@ func TestDTWBeatsEuclideanUnderLoss(t *testing.T) {
 	}
 	a := makeLossy(0.15)
 	b := makeLossy(0.15)
-	dtwDist, err := Distance(a, b, nil)
+	dtwDist, err := Distance(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +258,4 @@ func TestDTWBeatsEuclideanUnderLoss(t *testing.T) {
 		t.Errorf("DTW per-sample %v should be far below truncated-Euclidean %v under loss",
 			dtwDist, euclid)
 	}
-}
-
-func almostEq(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol
 }

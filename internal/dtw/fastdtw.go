@@ -1,51 +1,22 @@
 package dtw
 
-// FastDTW approximates the DTW distance in O(N) time and memory using the
-// multilevel approach of Salvador & Chan ("Toward Accurate Dynamic Time
-// Warping in Linear Time and Space"): coarsen both series by halving,
-// solve recursively, project the low-resolution warp path up, and refine
-// inside a window expanded by the given radius. Radius 1 already recovers
-// the exact distance on the vast majority of RSSI series (the paper cites
-// ~1% accuracy loss); larger radii trade time for accuracy.
+// FastDistance approximates the DTW distance in O(N) time and memory
+// using the multilevel FastDTW approach of Salvador & Chan ("Toward
+// Accurate Dynamic Time Warping in Linear Time and Space"): coarsen both
+// series by halving, solve the coarsest level exactly, project the
+// low-resolution warp path up, and refine inside a window expanded by
+// the given radius. Radius 1 already recovers the exact distance on the
+// vast majority of RSSI series (the paper cites ~1% accuracy loss);
+// larger radii trade time for accuracy.
 //
-// The returned distance is always >= the exact DTW distance, with equality
-// when the optimal path lies inside the searched window.
-func FastDTW(x, y []float64, radius int, cost CostFunc) (float64, Path, error) {
-	if len(x) == 0 || len(y) == 0 {
-		return 0, nil, ErrEmptySeries
-	}
-	if radius < 0 {
-		radius = 0
-	}
-	minSize := radius + 2
-	if len(x) <= minSize || len(y) <= minSize {
-		return DistanceWithPath(x, y, cost)
-	}
-
-	shrunkX := reduceByHalf(x)
-	shrunkY := reduceByHalf(y)
-	_, lowPath, err := FastDTW(shrunkX, shrunkY, radius, cost)
-	if err != nil {
-		return 0, nil, err
-	}
-	w := expandedWindow(lowPath, len(x), len(y), radius)
-	return constrainedDistance(x, y, w, cost, true)
-}
-
-// FastDistance is FastDTW without path reconstruction at the top level.
-// It runs the whole pyramid — shrink levels, projected warp paths,
-// windowed DPs — on a pooled Workspace, so steady-state calls allocate
-// nothing; hold a Workspace per goroutine and call its FastDistance
-// method to skip even the pool round-trip.
-func FastDistance(x, y []float64, radius int, cost CostFunc) (float64, error) {
+// The returned distance is always >= the exact DTW distance, with
+// equality when the optimal path lies inside the searched window. The
+// whole pyramid runs on a pooled Workspace, so steady-state calls
+// allocate nothing; hold a Workspace per goroutine and call its
+// FastDistance method to skip even the pool round-trip.
+func FastDistance(x, y []float64, radius int) (float64, error) {
 	ws := GetWorkspace()
-	d, err := ws.FastDistance(x, y, radius, cost)
+	d, err := ws.FastDistance(x, y, radius)
 	PutWorkspace(ws)
 	return d, err
-}
-
-// reduceByHalf halves the resolution of a series by averaging adjacent
-// pairs; an odd trailing element is kept as-is.
-func reduceByHalf(x []float64) []float64 {
-	return reduceByHalfInto(make([]float64, 0, (len(x)+1)/2), x)
 }

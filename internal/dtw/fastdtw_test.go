@@ -49,12 +49,12 @@ func TestFastDTWUpperBoundsExact(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		x := randomSeries(20+rng.Intn(180), rng)
 		y := randomSeries(20+rng.Intn(180), rng)
-		exact, err := Distance(x, y, nil)
+		exact, err := Distance(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, radius := range []int{0, 1, 2, 5} {
-			fast, path, err := FastDTW(x, y, radius, nil)
+			fast, path, err := fastDTW(x, y, radius)
 			if err != nil {
 				t.Fatalf("radius %d: %v", radius, err)
 			}
@@ -64,7 +64,7 @@ func TestFastDTWUpperBoundsExact(t *testing.T) {
 			if err := path.Validate(len(x), len(y)); err != nil {
 				t.Fatalf("radius %d: invalid path: %v", radius, err)
 			}
-			if pc := path.Cost(x, y, nil); math.Abs(pc-fast) > 1e-9 {
+			if pc := pathCost(path, x, y); math.Abs(pc-fast) > 1e-9 {
 				t.Fatalf("radius %d: path cost %v != distance %v", radius, pc, fast)
 			}
 		}
@@ -85,12 +85,12 @@ func TestFastDTWAccuracy(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		x := randomSeries(200, rng)
 		y := randomSeries(200, rng)
-		exact, err := Distance(x, y, nil)
+		exact, err := Distance(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range radii {
-			fast, err := FastDistance(x, y, r, nil)
+			fast, err := FastDistance(x, y, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,12 +134,12 @@ func TestFastDTWSimilarSeriesNearExact(t *testing.T) {
 				y = append(y, v+0.5*rng.NormFloat64())
 			}
 		}
-		exact, err := Distance(x, y, nil)
+		exact, err := Distance(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range []int{1, 4} {
-			fast, err := FastDistance(x, y, r, nil)
+			fast, err := FastDistance(x, y, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +159,7 @@ func TestFastDTWSimilarSeriesNearExact(t *testing.T) {
 func TestFastDTWIdenticalSeriesIsZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	x := randomSeries(500, rng)
-	d, err := FastDistance(x, x, 1, nil)
+	d, err := FastDistance(x, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +172,12 @@ func TestFastDTWSmallSeriesExact(t *testing.T) {
 	// Series at or below radius+2 fall back to exact DTW.
 	x := []float64{1, 1, 4, 1, 1}
 	y := []float64{2, 2, 2, 4, 2, 2}
-	d, _, err := FastDTW(x, y, 5, nil)
+	d, err := FastDistance(x, y, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d != 5 {
-		t.Errorf("FastDTW small-series = %v, want exact 5", d)
+		t.Errorf("FastDistance small-series = %v, want exact 5", d)
 	}
 }
 
@@ -185,11 +185,11 @@ func TestFastDTWUnequalLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	x := randomSeries(200, rng)
 	y := randomSeries(137, rng) // simulates packet loss
-	exact, err := Distance(x, y, nil)
+	exact, err := Distance(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := FastDistance(x, y, 2, nil)
+	fast, err := FastDistance(x, y, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +206,8 @@ func TestFastDTWSymmetryProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		x := randomSeries(10+rng.Intn(100), rng)
 		y := randomSeries(10+rng.Intn(100), rng)
-		d1, err1 := FastDistance(x, y, 1, nil)
-		d2, err2 := FastDistance(y, x, 1, nil)
+		d1, err1 := FastDistance(x, y, 1)
+		d2, err2 := FastDistance(y, x, 1)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -224,23 +224,23 @@ func TestFastDTWSymmetryProperty(t *testing.T) {
 }
 
 func TestSakoeChibaWindow(t *testing.T) {
-	w := SakoeChiba(10, 10, 1)
+	w := sakoeChiba(10, 10, 1)
 	if err := w.validate(10, 10); err != nil {
 		t.Fatalf("invalid window: %v", err)
 	}
-	if !w.Contains(0, 0) || !w.Contains(9, 9) {
+	if !w.contains(0, 0) || !w.contains(9, 9) {
 		t.Error("band must contain corners")
 	}
-	if w.Contains(0, 5) {
+	if w.contains(0, 5) {
 		t.Error("radius-1 band should exclude (0,5)")
 	}
-	if w.Size() >= 100 {
-		t.Errorf("band size %d should be well below full 100", w.Size())
+	if w.size() >= 100 {
+		t.Errorf("band size %d should be well below full 100", w.size())
 	}
 }
 
 func TestSakoeChibaNonSquare(t *testing.T) {
-	w := SakoeChiba(5, 20, 2)
+	w := sakoeChiba(5, 20, 2)
 	if err := w.validate(5, 20); err != nil {
 		t.Fatalf("invalid window: %v", err)
 	}
@@ -250,11 +250,11 @@ func TestFullWindowEqualsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	x := randomSeries(30, rng)
 	y := randomSeries(25, rng)
-	exact, err := Distance(x, y, nil)
+	exact, err := Distance(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	constrained, err := ConstrainedDistance(x, y, FullWindow(len(x), len(y)), nil)
+	constrained, _, err := NewWorkspace().constrained(x, y, fullWindow(len(x), len(y)), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +268,11 @@ func TestConstrainedDistanceUpperBound(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		x := randomSeries(40, rng)
 		y := randomSeries(40, rng)
-		exact, err := Distance(x, y, nil)
+		exact, err := Distance(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		band, err := ConstrainedDistance(x, y, SakoeChiba(40, 40, 3), nil)
+		band, _, err := NewWorkspace().constrained(x, y, sakoeChiba(40, 40, 3), false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,12 +285,13 @@ func TestConstrainedDistanceUpperBound(t *testing.T) {
 func TestConstrainedDistanceBadWindow(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{1, 2, 3}
-	w := &Window{lo: []int{0, 2, 2}, hi: []int{0, 2, 2}}
-	if _, err := ConstrainedDistance(x, y, w, nil); err == nil {
+	ws := NewWorkspace()
+	w := &window{lo: []int{0, 2, 2}, hi: []int{0, 2, 2}}
+	if _, _, err := ws.constrained(x, y, w, false, nil); err == nil {
 		t.Error("disconnected window should error")
 	}
-	wrongRows := &Window{lo: []int{0}, hi: []int{2}}
-	if _, err := ConstrainedDistance(x, y, wrongRows, nil); err == nil {
+	wrongRows := &window{lo: []int{0}, hi: []int{2}}
+	if _, _, err := ws.constrained(x, y, wrongRows, false, nil); err == nil {
 		t.Error("row-count mismatch should error")
 	}
 }

@@ -11,7 +11,7 @@ func BenchmarkFastDistance200(b *testing.B) {
 	y := randomSeries(200, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FastDistance(x, y, 4, nil); err != nil {
+		if _, err := FastDistance(x, y, 4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -23,7 +23,7 @@ func BenchmarkExactDistance200(b *testing.B) {
 	y := randomSeries(200, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Distance(x, y, nil); err != nil {
+		if _, err := Distance(x, y); err != nil {
 			b.Fatal(err)
 		}
 	}

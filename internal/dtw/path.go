@@ -35,15 +35,3 @@ func (p Path) Validate(n, m int) error {
 	}
 	return nil
 }
-
-// Cost sums the pointwise cost of the matches along the path.
-func (p Path) Cost(x, y []float64, cost CostFunc) float64 {
-	if cost == nil {
-		cost = SquaredCost
-	}
-	var total float64
-	for _, w := range p {
-		total += cost(x[w.I], y[w.J])
-	}
-	return total
-}

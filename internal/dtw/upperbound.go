@@ -15,7 +15,10 @@ package dtw
 // cell is in-window by construction). Being one valid path's cost, the
 // value upper-bounds BandedDistance at the same radius — in floating
 // point too, since the DP's cell values never exceed any single path's
-// running cost accumulated in the same order. For equal lengths it
+// running cost accumulated in the same order. That argument needs both
+// sides to round alike, so like the banded kernel every squared term is
+// written float64(d*d), which no architecture may fuse into the add
+// that follows it. For equal lengths it
 // degenerates to the no-warp diagonal (EuclideanSquared).
 func BandPathUpperBound(x, y []float64, radius int) (float64, error) {
 	n, m := len(x), len(y)
@@ -31,12 +34,12 @@ func BandPathUpperBound(x, y []float64, radius int) (float64, error) {
 		var sum float64
 		for _, v := range y {
 			d := x[0] - v
-			sum += d * d
+			sum += float64(d * d)
 		}
 		return sum, nil
 	}
 	d := x[0] - y[0]
-	sum := d * d
+	sum := float64(d * d)
 	cur := 0 // rightmost visited column of the current row
 	loPrev := 0
 	hiPrev := radius
@@ -74,7 +77,7 @@ func BandPathUpperBound(x, y []float64, radius int) (float64, error) {
 			xp := x[i-1]
 			for j := cur + 1; j < lo; j++ {
 				d = xp - y[j]
-				sum += d * d
+				sum += float64(d * d)
 			}
 			cur = lo - 1
 		}
@@ -82,12 +85,12 @@ func BandPathUpperBound(x, y []float64, radius int) (float64, error) {
 		if c == cur {
 			// Vertical step onto the unchanged center.
 			d = xi - y[cur]
-			sum += d * d
+			sum += float64(d * d)
 		} else {
 			// Diagonal into the row, then horizontal out to the center.
 			for j := cur + 1; j <= c; j++ {
 				d = xi - y[j]
-				sum += d * d
+				sum += float64(d * d)
 			}
 			cur = c
 		}

@@ -2,34 +2,17 @@ package dtw
 
 import "fmt"
 
-// Window restricts the DTW search to a band of cells: row i may use columns
+// window restricts the DTW search to a band of cells: row i may use columns
 // lo[i] through hi[i] inclusive. Windows must be row-contiguous and
 // monotone so a legal warp path exists inside them.
-type Window struct {
+type window struct {
 	lo, hi []int
-}
-
-// FullWindow admits every cell of an n-by-m matrix (exact DTW).
-func FullWindow(n, m int) *Window {
-	w := &Window{lo: make([]int, n), hi: make([]int, n)}
-	for i := range w.hi {
-		w.hi[i] = m - 1
-	}
-	return w
-}
-
-// SakoeChiba returns the classic band window of the given radius around
-// the resampled diagonal of an n-by-m matrix.
-func SakoeChiba(n, m, radius int) *Window {
-	w := &Window{lo: make([]int, n), hi: make([]int, n)}
-	sakoeChibaFill(w, m, radius)
-	return w
 }
 
 // sakoeChibaFill populates w (whose lo/hi slices are already sized to n
 // rows) with the Sakoe-Chiba band of the given radius. Workspaces use it
 // to rebuild the band in scratch without allocating.
-func sakoeChibaFill(w *Window, m, radius int) {
+func sakoeChibaFill(w *window, m, radius int) {
 	if radius < 0 {
 		radius = 0
 	}
@@ -55,22 +38,8 @@ func sakoeChibaFill(w *Window, m, radius int) {
 	w.makeContiguous(m)
 }
 
-// Size returns the number of admitted cells.
-func (w *Window) Size() int {
-	total := 0
-	for i := range w.lo {
-		total += w.hi[i] - w.lo[i] + 1
-	}
-	return total
-}
-
-// Contains reports whether cell (i, j) is inside the window.
-func (w *Window) Contains(i, j int) bool {
-	return i >= 0 && i < len(w.lo) && j >= w.lo[i] && j <= w.hi[i]
-}
-
 // validate checks the invariants the DP relies on.
-func (w *Window) validate(n, m int) error {
+func (w *window) validate(n, m int) error {
 	if len(w.lo) != n || len(w.hi) != n {
 		return fmt.Errorf("dtw: window has %d rows, want %d", len(w.lo), n)
 	}
@@ -98,7 +67,7 @@ func (w *Window) validate(n, m int) error {
 
 // makeContiguous enforces monotone, connected ranges, always keeping the
 // (0,0) and (n-1,m-1) corners reachable.
-func (w *Window) makeContiguous(m int) {
+func (w *window) makeContiguous(m int) {
 	n := len(w.lo)
 	if n == 0 {
 		return
@@ -124,19 +93,12 @@ func (w *Window) makeContiguous(m int) {
 	}
 }
 
-// expandedWindow builds the FastDTW search window for a high-resolution
-// pass: each low-resolution path cell (i,j) projects onto the 2x2 block of
-// high-resolution cells it covers, and the block set is then widened by
-// radius cells in every direction.
-func expandedWindow(lowPath Path, n, m, radius int) *Window {
-	w := &Window{lo: make([]int, n), hi: make([]int, n)}
-	expandedWindowFill(w, lowPath, m, radius)
-	return w
-}
-
-// expandedWindowFill is expandedWindow into a pre-sized window (n rows
-// implied by len(w.lo)), reused by workspace FastDTW unwinding.
-func expandedWindowFill(w *Window, lowPath Path, m, radius int) {
+// expandedWindowFill builds the FastDTW search window for a
+// high-resolution pass into a pre-sized window (n rows implied by
+// len(w.lo)): each low-resolution path cell (i,j) projects onto the 2x2
+// block of high-resolution cells it covers, and the block set is then
+// widened by radius cells in every direction.
+func expandedWindowFill(w *window, lowPath Path, m, radius int) {
 	n := len(w.lo)
 	for i := range w.lo {
 		w.lo[i] = m // sentinel: empty

@@ -24,9 +24,9 @@ type Workspace struct {
 	// Windowed-DP cell backing and per-row offsets into it.
 	cells []float64
 	offs  []int
-	// Band bounds scratch and the Window header that borrows them.
+	// Band bounds scratch and the window header that borrows them.
 	winLo, winHi []int
-	win          Window
+	win          window
 	// FastDTW pyramid scratch: the halved series of every level packed
 	// into one arena, plus double-buffered warp paths for the unwind.
 	arena        []float64
@@ -72,11 +72,10 @@ func growInt(buf []int, n int) []int {
 	return buf[:n]
 }
 
-// Distance computes the exact DTW distance between x and y with the
-// given cost function (nil means the squared cost of Equation 3, via an
-// inline fast path). Identical to the package-level Distance, reusing
-// the workspace's rolling rows.
-func (ws *Workspace) Distance(x, y []float64, cost CostFunc) (float64, error) {
+// Distance computes the exact DTW distance between x and y, reusing the
+// workspace's rolling rows; the package-level Distance borrows a pooled
+// workspace for it.
+func (ws *Workspace) Distance(x, y []float64) (float64, error) {
 	if len(x) == 0 || len(y) == 0 {
 		return 0, ErrEmptySeries
 	}
@@ -85,41 +84,16 @@ func (ws *Workspace) Distance(x, y []float64, cost CostFunc) (float64, error) {
 	ws.cur = growF64(ws.cur, m)
 	prev, cur := ws.prev, ws.cur
 
-	if cost == nil {
-		// Squared-cost fast path: the detector's hot loop, free of
-		// indirect calls.
-		d := x[0] - y[0]
-		prev[0] = d * d
-		for j := 1; j < m; j++ {
-			d = x[0] - y[j]
-			prev[j] = prev[j-1] + d*d
-		}
-		for i := 1; i < len(x); i++ {
-			xi := x[i]
-			d = xi - y[0]
-			cur[0] = prev[0] + d*d
-			for j := 1; j < m; j++ {
-				best := prev[j]
-				if prev[j-1] < best {
-					best = prev[j-1]
-				}
-				if cur[j-1] < best {
-					best = cur[j-1]
-				}
-				d = xi - y[j]
-				cur[j] = best + d*d
-			}
-			prev, cur = cur, prev
-		}
-		return prev[m-1], nil
-	}
-
-	prev[0] = cost(x[0], y[0])
+	d := x[0] - y[0]
+	prev[0] = float64(d * d)
 	for j := 1; j < m; j++ {
-		prev[j] = prev[j-1] + cost(x[0], y[j])
+		d = x[0] - y[j]
+		prev[j] = prev[j-1] + float64(d*d)
 	}
 	for i := 1; i < len(x); i++ {
-		cur[0] = prev[0] + cost(x[i], y[0])
+		xi := x[i]
+		d = xi - y[0]
+		cur[0] = prev[0] + float64(d*d)
 		for j := 1; j < m; j++ {
 			best := prev[j] // insertion (advance i only)
 			if prev[j-1] < best {
@@ -128,19 +102,12 @@ func (ws *Workspace) Distance(x, y []float64, cost CostFunc) (float64, error) {
 			if cur[j-1] < best {
 				best = cur[j-1] // deletion (advance j only)
 			}
-			cur[j] = best + cost(x[i], y[j])
+			d = xi - y[j]
+			cur[j] = best + float64(d*d)
 		}
 		prev, cur = cur, prev
 	}
 	return prev[m-1], nil
-}
-
-// ConstrainedDistance computes DTW restricted to a window, reusing the
-// workspace's cell backing. The window may be external or the
-// workspace's own (BandedDistance).
-func (ws *Workspace) ConstrainedDistance(x, y []float64, w *Window, cost CostFunc) (float64, error) {
-	d, _, err := ws.constrained(x, y, w, cost, false, nil)
-	return d, err
 }
 
 // constrained runs the DTW recursion over the cells admitted by w only;
@@ -149,7 +116,7 @@ func (ws *Workspace) ConstrainedDistance(x, y []float64, w *Window, cost CostFun
 // bands and FastDTW expanded windows guarantee. When wantPath is set the
 // optimal path is backtracked into dst (appended from dst[:0]; nil dst
 // allocates a caller-owned path).
-func (ws *Workspace) constrained(x, y []float64, w *Window, cost CostFunc, wantPath bool, dst Path) (float64, Path, error) {
+func (ws *Workspace) constrained(x, y []float64, w *window, wantPath bool, dst Path) (float64, Path, error) {
 	if len(x) == 0 || len(y) == 0 {
 		return 0, nil, ErrEmptySeries
 	}
@@ -174,105 +141,60 @@ func (ws *Workspace) constrained(x, y []float64, w *Window, cost CostFunc, wantP
 		}
 		return cells[offs[i]+j-w.lo[i]]
 	}
-	inf := math.Inf(1)
-	if cost == nil {
-		// Squared-cost fast path: the detector's hot loop. Each row
-		// splits into a bounds-checked head and tail (cells missing one
-		// of the three predecessors) and a branch-reduced interior
-		// kernel where up, diagonal and left all provably exist — no
-		// bounds checks, no disconnection test (the up neighbor is a
-		// computed, finite cell). The min-comparison order matches the
-		// generic loop exactly, so distances stay bit-identical.
-		for i := 0; i < n; i++ {
-			lo, hi := w.lo[i], w.hi[i]
-			row := cells[offs[i] : offs[i]+hi-lo+1]
-			xi := x[i]
-			if i == 0 {
-				d := xi - y[0]
-				row[0] = d * d
-				for j := lo + 1; j <= hi; j++ {
-					d = xi - y[j]
-					row[j-lo] = row[j-1-lo] + d*d
-				}
-				continue
+	// Each row splits into a bounds-checked head and tail (cells missing
+	// one of the three predecessors) and a branch-reduced interior kernel
+	// where up, diagonal and left all provably exist — no bounds checks,
+	// no disconnection test (the up neighbor is a computed, finite cell).
+	// Head, tail and interior take the minimum in the same order, so the
+	// split never changes a distance.
+	for i := 0; i < n; i++ {
+		lo, hi := w.lo[i], w.hi[i]
+		row := cells[offs[i] : offs[i]+hi-lo+1]
+		xi := x[i]
+		if i == 0 {
+			d := xi - y[0]
+			row[0] = float64(d * d)
+			for j := lo + 1; j <= hi; j++ {
+				d = xi - y[j]
+				row[j-lo] = row[j-1-lo] + float64(d*d)
 			}
-			plo, phi := w.lo[i-1], w.hi[i-1]
-			prevRow := cells[offs[i-1] : offs[i-1]+phi-plo+1]
-			j := lo
-			// Head: first cell of the row (no left neighbor) and cells at
-			// or below the previous row's window start (no diagonal).
-			for ; j <= hi && (j == lo || j <= plo); j++ {
-				v, ok := sqCell(row, prevRow, lo, plo, j, xi, y[j])
-				if !ok {
-					return 0, nil, fmt.Errorf("dtw: window disconnected at cell (%d,%d)", i, j)
-				}
-				row[j-lo] = v
-			}
-			// Interior kernel: j in [max(lo,plo)+1, min(hi,phi)].
-			kend := hi
-			if kend > phi {
-				kend = phi
-			}
-			for ; j <= kend; j++ {
-				best := prevRow[j-plo]
-				if v := prevRow[j-1-plo]; v < best {
-					best = v
-				}
-				if v := row[j-1-lo]; v < best {
-					best = v
-				}
-				d := xi - y[j]
-				row[j-lo] = best + d*d
-			}
-			// Tail: cells past the previous row's window end.
-			for ; j <= hi; j++ {
-				v, ok := sqCell(row, prevRow, lo, plo, j, xi, y[j])
-				if !ok {
-					return 0, nil, fmt.Errorf("dtw: window disconnected at cell (%d,%d)", i, j)
-				}
-				row[j-lo] = v
-			}
+			continue
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			lo, hi := w.lo[i], w.hi[i]
-			row := cells[offs[i] : offs[i]+hi-lo+1]
-			var prevRow []float64
-			plo := 0
-			if i > 0 {
-				plo = w.lo[i-1]
-				prevRow = cells[offs[i-1] : offs[i-1]+w.hi[i-1]-plo+1]
+		plo, phi := w.lo[i-1], w.hi[i-1]
+		prevRow := cells[offs[i-1] : offs[i-1]+phi-plo+1]
+		j := lo
+		// Head: first cell of the row (no left neighbor) and cells at
+		// or below the previous row's window start (no diagonal).
+		for ; j <= hi && (j == lo || j <= plo); j++ {
+			v, ok := sqCell(row, prevRow, lo, plo, j, xi, y[j])
+			if !ok {
+				return 0, nil, fmt.Errorf("dtw: window disconnected at cell (%d,%d)", i, j)
 			}
-			xi := x[i]
-			for j := lo; j <= hi; j++ {
-				c := cost(xi, y[j])
-				if i == 0 && j == 0 {
-					row[0] = c
-					continue
-				}
-				best := inf
-				if prevRow != nil {
-					if k := j - plo; k >= 0 && k < len(prevRow) {
-						if v := prevRow[k]; v < best {
-							best = v
-						}
-					}
-					if k := j - 1 - plo; k >= 0 && k < len(prevRow) {
-						if v := prevRow[k]; v < best {
-							best = v
-						}
-					}
-				}
-				if j-1 >= lo {
-					if v := row[j-1-lo]; v < best {
-						best = v
-					}
-				}
-				if math.IsInf(best, 1) {
-					return 0, nil, fmt.Errorf("dtw: window disconnected at cell (%d,%d)", i, j)
-				}
-				row[j-lo] = c + best
+			row[j-lo] = v
+		}
+		// Interior kernel: j in [max(lo,plo)+1, min(hi,phi)].
+		kend := hi
+		if kend > phi {
+			kend = phi
+		}
+		for ; j <= kend; j++ {
+			best := prevRow[j-plo]
+			if v := prevRow[j-1-plo]; v < best {
+				best = v
 			}
+			if v := row[j-1-lo]; v < best {
+				best = v
+			}
+			d := xi - y[j]
+			row[j-lo] = best + float64(d*d)
+		}
+		// Tail: cells past the previous row's window end.
+		for ; j <= hi; j++ {
+			v, ok := sqCell(row, prevRow, lo, plo, j, xi, y[j])
+			if !ok {
+				return 0, nil, fmt.Errorf("dtw: window disconnected at cell (%d,%d)", i, j)
+			}
+			row[j-lo] = v
 		}
 	}
 	total := get(n-1, m-1)
@@ -308,12 +230,11 @@ func (ws *Workspace) constrained(x, y []float64, w *Window, cost CostFunc, wantP
 	return total, path, nil
 }
 
-// sqCell computes one squared-cost windowed-DP cell with full bounds
-// checks — the fallback for row head/tail cells where a predecessor may
-// be missing; ok is false when none is reachable (disconnected window).
-// The min-comparison order (up, diagonal, left; strict <) matches the
-// interior kernel and the generic cost-func loop, keeping all three
-// bit-identical.
+// sqCell computes one windowed-DP cell with full bounds checks — the
+// fallback for row head/tail cells where a predecessor may be missing;
+// ok is false when none is reachable (disconnected window). The
+// min-comparison order (up, diagonal, left; strict <) matches the
+// interior kernel, keeping the two bit-identical.
 func sqCell(row, prevRow []float64, lo, plo, j int, xi, yj float64) (float64, bool) {
 	best := math.Inf(1)
 	if prevRow != nil {
@@ -337,31 +258,31 @@ func sqCell(row, prevRow []float64, lo, plo, j int, xi, yj float64) (float64, bo
 		return 0, false
 	}
 	d := xi - yj
-	return best + d*d, true
+	return best + float64(d*d), true
 }
 
 // fullPath computes the exact DTW distance and optimal warp path over
 // the full n-by-m matrix, using the workspace cell backing for the DP
 // and appending the path into dst[:0]. It is the FastDTW pyramid base
 // case (DistanceWithPath keeps its own caller-owned allocation).
-func (ws *Workspace) fullPath(x, y []float64, cost CostFunc, dst Path) (float64, Path, error) {
+func (ws *Workspace) fullPath(x, y []float64, dst Path) (float64, Path, error) {
 	if len(x) == 0 || len(y) == 0 {
 		return 0, nil, ErrEmptySeries
-	}
-	if cost == nil {
-		cost = SquaredCost
 	}
 	n, m := len(x), len(y)
 	ws.cells = growF64(ws.cells, n*m)
 	d := ws.cells
 	idx := func(i, j int) int { return i*m + j }
 
-	d[idx(0, 0)] = cost(x[0], y[0])
+	e := x[0] - y[0]
+	d[idx(0, 0)] = float64(e * e)
 	for j := 1; j < m; j++ {
-		d[idx(0, j)] = d[idx(0, j-1)] + cost(x[0], y[j])
+		e = x[0] - y[j]
+		d[idx(0, j)] = d[idx(0, j-1)] + float64(e*e)
 	}
 	for i := 1; i < n; i++ {
-		d[idx(i, 0)] = d[idx(i-1, 0)] + cost(x[i], y[0])
+		e = x[i] - y[0]
+		d[idx(i, 0)] = d[idx(i-1, 0)] + float64(e*e)
 		for j := 1; j < m; j++ {
 			best := d[idx(i-1, j)]
 			if v := d[idx(i-1, j-1)]; v < best {
@@ -370,7 +291,8 @@ func (ws *Workspace) fullPath(x, y []float64, cost CostFunc, dst Path) (float64,
 			if v := d[idx(i, j-1)]; v < best {
 				best = v
 			}
-			d[idx(i, j)] = best + cost(x[i], y[j])
+			e = x[i] - y[j]
+			d[idx(i, j)] = best + float64(e*e)
 		}
 	}
 
@@ -406,10 +328,11 @@ func (ws *Workspace) fullPath(x, y []float64, cost CostFunc, dst Path) (float64,
 
 // FastDistance computes the FastDTW approximation iteratively with the
 // multilevel pyramid held in workspace scratch, so steady-state calls
-// allocate nothing. It returns exactly what the recursive FastDistance
-// returns: the same shrink levels, the same projected windows, the same
-// DP — only the buffer lifetimes differ.
-func (ws *Workspace) FastDistance(x, y []float64, radius int, cost CostFunc) (float64, error) {
+// allocate nothing. It returns exactly what the textbook recursive
+// FastDTW (coarsen, recurse, project the path, refine) returns: the same
+// shrink levels, the same projected windows, the same DP — only the
+// buffer lifetimes differ.
+func (ws *Workspace) FastDistance(x, y []float64, radius int) (float64, error) {
 	if len(x) == 0 || len(y) == 0 {
 		return 0, ErrEmptySeries
 	}
@@ -418,13 +341,13 @@ func (ws *Workspace) FastDistance(x, y []float64, radius int, cost CostFunc) (fl
 	}
 	minSize := radius + 2
 	if len(x) <= minSize || len(y) <= minSize {
-		return ws.Distance(x, y, cost)
+		return ws.Distance(x, y)
 	}
 
 	// Plan the pyramid: level 0 is the input; each level halves both
-	// series (ceil division, matching reduceByHalf); shrinking stops once
-	// either side is small enough for exact DTW — the recursion's base
-	// case.
+	// series (ceil division, matching reduceByHalfInto); shrinking stops
+	// once either side is small enough for exact DTW — the recursion's
+	// base case.
 	sizes := append(ws.sizes[:0], lvlDims{len(x), len(y)})
 	total := 0
 	for sizes[len(sizes)-1].nx > minSize && sizes[len(sizes)-1].ny > minSize {
@@ -462,7 +385,7 @@ func (ws *Workspace) FastDistance(x, y []float64, radius int, cost CostFunc) (fl
 	if ws.pathA == nil {
 		ws.pathA = make(Path, 0, sizes[base].nx+sizes[base].ny)
 	}
-	dist, path, err := ws.fullPath(lvlX[base], lvlY[base], cost, ws.pathA)
+	dist, path, err := ws.fullPath(lvlX[base], lvlY[base], ws.pathA)
 	if err != nil {
 		return 0, err
 	}
@@ -474,7 +397,7 @@ func (ws *Workspace) FastDistance(x, y []float64, radius int, cost CostFunc) (fl
 		ws.win.lo, ws.win.hi = ws.winLo, ws.winHi
 		expandedWindowFill(&ws.win, path, m, radius)
 		var next Path
-		dist, next, err = ws.constrained(lvlX[k], lvlY[k], &ws.win, cost, k > 0, ws.pathB)
+		dist, next, err = ws.constrained(lvlX[k], lvlY[k], &ws.win, k > 0, ws.pathB)
 		if err != nil {
 			return 0, err
 		}

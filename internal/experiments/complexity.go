@@ -50,14 +50,14 @@ func Complexity(seed int64) (*ComplexityResult, error) {
 	res := &ComplexityResult{}
 	var err error
 	res.PairExact, err = timeIt(200, func() error {
-		_, err := dtw.Distance(x, y, nil)
+		_, err := dtw.Distance(x, y)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	res.PairFast, err = timeIt(200, func() error {
-		_, err := dtw.FastDistance(x, y, 4, nil)
+		_, err := dtw.FastDistance(x, y, 4)
 		return err
 	})
 	if err != nil {
@@ -67,7 +67,7 @@ func Complexity(seed int64) (*ComplexityResult, error) {
 	// reused workspace, as a compare worker runs it.
 	ws := dtw.NewWorkspace()
 	res.PairBanded, err = timeIt(200, func() error {
-		_, err := ws.BandedDistance(x, y, 20, nil)
+		_, err := ws.BandedDistance(x, y, 20)
 		return err
 	})
 	if err != nil {

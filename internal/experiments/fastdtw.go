@@ -45,7 +45,7 @@ func FastDTWAccuracy(seed int64, seriesLen, trials int) (*FastDTWResult, error) 
 	exact := make([]float64, trials)
 	exactStart := time.Now()
 	for i, p := range pairs {
-		d, err := dtw.Distance(p.x, p.y, nil)
+		d, err := dtw.Distance(p.x, p.y)
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +58,7 @@ func FastDTWAccuracy(seed int64, seriesLen, trials int) (*FastDTWResult, error) 
 		var errSum float64
 		start := time.Now()
 		for i, p := range pairs {
-			d, err := dtw.FastDistance(p.x, p.y, radius, nil)
+			d, err := dtw.FastDistance(p.x, p.y, radius)
 			if err != nil {
 				return nil, err
 			}

@@ -20,7 +20,7 @@ type Fig9Result struct {
 func Fig9() (*Fig9Result, error) {
 	x := []float64{1, 1, 4, 1, 1}
 	y := []float64{2, 2, 2, 4, 2, 2}
-	d, path, err := dtw.DistanceWithPath(x, y, nil)
+	d, path, err := dtw.DistanceWithPath(x, y)
 	if err != nil {
 		return nil, err
 	}

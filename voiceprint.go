@@ -136,10 +136,10 @@ func NewConfirmer(window, need int) (*Confirmer, error) {
 
 // DTWDistance is the exact DTW distance (Equations 3-6, squared cost).
 func DTWDistance(x, y []float64) (float64, error) {
-	return dtw.Distance(x, y, nil)
+	return dtw.Distance(x, y)
 }
 
 // FastDTWDistance is the FastDTW approximation with the given radius.
 func FastDTWDistance(x, y []float64, radius int) (float64, error) {
-	return dtw.FastDistance(x, y, radius, nil)
+	return dtw.FastDistance(x, y, radius)
 }
