@@ -101,18 +101,21 @@ type Config struct {
 	DisableLengthNormalization bool
 	// LBPrune enables lower-bound pruning in the compare phase: the banded
 	// DP abandons a pair as soon as a row minimum (a lower bound on the
-	// final distance) exceeds every raw cap the pair would have to pass,
-	// and the pair records that bound as its Raw (marked Pruned). Flags,
-	// Suspects and the raw distances of unpruned pairs are bit-identical
-	// with pruning on or off — a branch-and-bound pass recomputes just
-	// enough pruned pairs to restore the exact batch min and max before
-	// the Equation 8 normalization — but a pruned pair's Raw/Normalized
-	// are bounds, not distances. The zero value (off) is the bare-library
-	// default so training-data harvesting and the figure pipelines keep
-	// seeing true distances; deployments flip it on (voiceprintd does by
-	// default). Pruning requires a Sakoe-Chiba band: with BandRadius < 0
-	// (unconstrained-FastDTW ablation) the flag is ignored, and without
-	// any raw cap configured there is no threshold to prune against.
+	// final distance) exceeds the smaller of the raw cap the pair would
+	// have to pass and a per-round threshold derived from the decision
+	// boundary, above which no pair can be flagged; the pair records that
+	// bound as its Raw (marked Pruned). Flags, Suspects and the raw
+	// distances of unpruned pairs are bit-identical with pruning on or off
+	// — one branch-and-bound pass recomputes just enough pruned pairs to
+	// restore the exact batch min and max before the Equation 8
+	// normalization, and a second recomputes every pruned pair whose bound
+	// could still be flagged — but a pruned pair's Raw/Normalized are
+	// bounds, not distances, and a bound may sit at or below the pair's
+	// cap. The zero value (off) is the bare-library default so
+	// training-data harvesting and the figure pipelines keep seeing true
+	// distances; deployments flip it on (voiceprintd does by default).
+	// Pruning requires a Sakoe-Chiba band: with BandRadius < 0
+	// (unconstrained-FastDTW ablation) the flag is ignored.
 	LBPrune bool
 	// Workers bounds the goroutines used for the O(n²) pairwise DTW
 	// comparison phase. Each pair is independent and results land in
@@ -226,9 +229,11 @@ type PairDistance struct {
 	Flagged bool
 	// Pruned reports that lower-bound pruning (Config.LBPrune) abandoned
 	// the pair's banded DP scan. Raw and Normalized then hold the scan's
-	// prefix minimum, a bound which already exceeds every cap the pair
-	// would need to pass, not the true distance. Pruned pairs are never
-	// flagged.
+	// prefix minimum, a lower bound on the true distance, not the distance
+	// itself. The bound exceeds the pair's cap or the round's
+	// boundary-derived threshold, so it may sit at or below the cap.
+	// Pruned pairs are never flagged: the compare phase recomputes every
+	// pruned pair that the exact run could flag.
 	Pruned bool
 }
 
@@ -259,7 +264,7 @@ type Result struct {
 	// for bare Detector rounds.
 	Confirmed map[vanet.NodeID]bool
 	// PairsCompared counts the pairs whose DTW distance was computed in
-	// full this round (including pairs the extremes repair recomputed);
+	// full this round (including pairs either pruning repair recomputed);
 	// PairsPrunedLB the pairs left Pruned, resolved by the banded DP's
 	// early-abandoned prefix minimum. The two always sum to len(Pairs).
 	PairsCompared int
@@ -286,8 +291,9 @@ type roundScratch struct {
 	norm       []float64
 	med        []float64 // median-filter scratch (sorted in place)
 	noise      stats.AR1NoiseEstimator
-	// Branch-and-bound working set of the extremes repair: pair order
-	// and upper bounds.
+	// Pruning working set: every pair's per-sample upper bound (the
+	// boundary-derived threshold and the max repair read it) and the
+	// extremes repair's visiting order.
 	order []int32
 	ubs   []float64
 }
@@ -387,29 +393,28 @@ func (d *Detector) detect(series map[vanet.NodeID]*timeseries.Series, density fl
 		obsv.ObserveStage(StageNormalize, now.Sub(stageStart))
 		stageStart = now
 	}
-	pairs, err := d.comparePairs(sc, buf)
+	pairs, err := d.comparePairs(sc, buf, density)
 	if err != nil {
 		return nil, err
 	}
 	res.Pairs = pairs
-	// The extremes repair clears Pruned on every pair it recomputes, so
-	// the pairs still marked are exactly those resolved by a bound.
-	sc.raws = sc.raws[:0]
+	norm, err := normalize(sc, pairs)
+	if err != nil {
+		return nil, err
+	}
+	if d.prunes() {
+		if norm, err = d.repairVerdicts(sc, pairs, norm, density); err != nil {
+			return nil, err
+		}
+	}
+	// Both repairs clear Pruned on every pair they recompute, so the
+	// pairs still marked are exactly those resolved by a bound.
 	for _, p := range pairs {
 		if p.Pruned {
 			res.PairsPrunedLB++
 		}
-		sc.raws = append(sc.raws, p.Raw)
 	}
 	res.PairsCompared = len(pairs) - res.PairsPrunedLB
-	if cap(sc.norm) < len(sc.raws) {
-		sc.norm = make([]float64, len(sc.raws))
-	}
-	sc.norm = sc.norm[:len(sc.raws)]
-	norm, err := timeseries.MinMaxNormalizeInto(sc.norm, sc.raws)
-	if err != nil {
-		return nil, fmt.Errorf("core: min-max normalize distances: %w", err)
-	}
 	if obsv != nil {
 		now := time.Now()
 		obsv.ObserveStage(StageCompare, now.Sub(stageStart))
@@ -425,21 +430,10 @@ func (d *Detector) detect(series map[vanet.NodeID]*timeseries.Series, density fl
 	// when it is the only thing in view, and it is also what reproduces
 	// the paper's red-light false positive: stationary vehicles' frozen
 	// channels degenerate into pure noise series (Section VI-B).
-	degenerate := d.cfg.AdaptiveCapKappa > 0 && len(res.Pairs) > 0
-	if degenerate {
-		for i := range res.Pairs {
-			if res.Pairs[i].Raw > res.Pairs[i].NoiseCap {
-				degenerate = false
-				break
-			}
-		}
-	}
+	degenerate := d.degenerate(res.Pairs)
 	for i := range res.Pairs {
 		res.Pairs[i].Normalized = norm[i]
-		if d.cfg.AbsoluteRawCap > 0 && res.Pairs[i].Raw > d.cfg.AbsoluteRawCap {
-			continue
-		}
-		if cap := res.Pairs[i].NoiseCap; cap > 0 && res.Pairs[i].Raw > cap {
+		if !d.passesCaps(res.Pairs[i].Raw, res.Pairs[i].NoiseCap) {
 			continue
 		}
 		if degenerate || d.cfg.Boundary.IsSybilPair(density, norm[i]) {
@@ -454,13 +448,107 @@ func (d *Detector) detect(series map[vanet.NodeID]*timeseries.Series, density fl
 	return res, nil
 }
 
+// normalize min-max normalizes the round's raw distances (Equation 8)
+// into the scratch batch.
+func normalize(sc *roundScratch, pairs []PairDistance) ([]float64, error) {
+	sc.raws = sc.raws[:0]
+	for _, p := range pairs {
+		sc.raws = append(sc.raws, p.Raw)
+	}
+	if cap(sc.norm) < len(sc.raws) {
+		sc.norm = make([]float64, len(sc.raws))
+	}
+	sc.norm = sc.norm[:len(sc.raws)]
+	norm, err := timeseries.MinMaxNormalizeInto(sc.norm, sc.raws)
+	if err != nil {
+		return nil, fmt.Errorf("core: min-max normalize distances: %w", err)
+	}
+	return norm, nil
+}
+
+// passesCaps reports whether a raw distance passes the fixed cap and the
+// pair's adaptive cap. A pair whose adaptive cap is 0 (both noise
+// estimates clamped to zero) skips that cap: it fails open.
+func (d *Detector) passesCaps(raw, noiseCap float64) bool {
+	if d.cfg.AbsoluteRawCap > 0 && raw > d.cfg.AbsoluteRawCap {
+		return false
+	}
+	return !(noiseCap > 0 && raw > noiseCap)
+}
+
+// degenerate reports whether every pair of the round sits within its
+// adaptive cap. A zero cap counts as exceeded by any non-zero distance,
+// so one zero-noise pair keeps a round from being degenerate.
+func (d *Detector) degenerate(pairs []PairDistance) bool {
+	if d.cfg.AdaptiveCapKappa <= 0 || len(pairs) == 0 {
+		return false
+	}
+	for i := range pairs {
+		if pairs[i].Raw > pairs[i].NoiseCap {
+			return false
+		}
+	}
+	return true
+}
+
+// repairVerdicts is the second pruning repair, run after the Equation 8
+// normalization: it recomputes every pruned pair whose stored bound could
+// still be flagged, so the flags equal the exact run's. A pair abandoned
+// against the boundary-derived threshold may store a bound at or below
+// its cap, so two cases arise:
+//
+//   - Some stored Raw exceeds its NoiseCap. The pair's true distance is at
+//     least that Raw, so the exact round is not degenerate either, and a
+//     pair is flagged only through the boundary. The extremes repair made
+//     the stored batch min and max exact whenever any pair can pass its
+//     caps, so a pruned pair's normalized bound is at most its exact
+//     normalized distance; recomputing the cap-passing pruned pairs whose
+//     normalized bound passes the boundary leaves out only pairs the
+//     exact run cannot flag, whatever the rounding of the threshold.
+//   - Every stored Raw is within its NoiseCap: the stored batch looks
+//     degenerate, but a pruned pair's true distance may not be. Every
+//     pruned pair is recomputed and the batch is exact.
+//
+// Recomputed pairs keep their true distances inside the repaired batch
+// extremes; the batch is renormalized all the same.
+func (d *Detector) repairVerdicts(sc *roundScratch, pairs []PairDistance, norm []float64, density float64) ([]float64, error) {
+	looksDegenerate := d.degenerate(pairs)
+	sc.order = sc.order[:0]
+	for k := range pairs {
+		p := &pairs[k]
+		if p.Pruned && (looksDegenerate || d.passesCaps(p.Raw, p.NoiseCap) && d.cfg.Boundary.IsSybilPair(density, norm[k])) {
+			sc.order = append(sc.order, int32(k))
+		}
+	}
+	if len(sc.order) == 0 {
+		return norm, nil
+	}
+	ws := dtw.GetWorkspace()
+	defer dtw.PutWorkspace(ws)
+	for _, k := range sc.order {
+		ij := sc.pairIdx[k]
+		if err := d.comparePairAt(ws, &pairs[k], sc.normalized[ij[0]], sc.normalized[ij[1]]); err != nil {
+			return nil, err
+		}
+		pairs[k].Pruned = false
+	}
+	return normalize(sc, pairs)
+}
+
+// prunes reports whether the compare phase prunes: LBPrune is on and a
+// Sakoe-Chiba band is configured (the unconstrained-FastDTW ablation has
+// no abandoning DP).
+func (d *Detector) prunes() bool { return d.cfg.LBPrune && d.cfg.BandRadius >= 0 }
+
 // comparePairs resolves every {i < j} pair of sc.ids into buf (grown
 // when too small), fanned out across Workers goroutines. Pairs are
 // enumerated in the usual nested-loop order and each goroutine writes
 // only its preassigned slots on its own dtw.Workspace, so the returned
 // slice is deterministic (identical to the sequential loop) at any
-// worker count and any pool state.
-func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance) ([]PairDistance, error) {
+// worker count and any pool state. When pruning, one sequential pass
+// first derives the round's abandon threshold from the decision
+// boundary at density.
+func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance, density float64) ([]PairDistance, error) {
 	n := len(sc.ids)
 	np := n * (n - 1) / 2
 	// The pair slice escapes inside the Result, so it cannot live in the
@@ -481,11 +569,14 @@ func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance) ([]PairDis
 			sc.pairIdx = append(sc.pairIdx, [2]int32{int32(i), int32(j)})
 		}
 	}
-	// Pruning needs a Sakoe-Chiba band (the unconstrained-FastDTW
-	// ablation has no abandoning DP) and at least one configured raw cap
-	// to prune against.
-	prune := d.cfg.LBPrune && d.cfg.BandRadius >= 0 &&
-		(d.cfg.AdaptiveCapKappa > 0 || d.cfg.AbsoluteRawCap > 0)
+	prune := d.prunes()
+	limit := math.Inf(1)
+	if prune {
+		var err error
+		if limit, err = d.ruleLimit(sc, pairs, density); err != nil {
+			return nil, err
+		}
+	}
 	workers := d.cfg.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -500,7 +591,7 @@ func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance) ([]PairDis
 		ws := dtw.GetWorkspace()
 		defer dtw.PutWorkspace(ws)
 		for k := range pairs {
-			if err := d.resolvePair(ws, sc, pairs, k, prune); err != nil {
+			if err := d.resolvePair(ws, sc, pairs, k, prune, limit); err != nil {
 				return nil, err
 			}
 		}
@@ -523,7 +614,7 @@ func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance) ([]PairDis
 					if k >= np {
 						return
 					}
-					if err := d.resolvePair(ws, sc, pairs, k, prune); err != nil {
+					if err := d.resolvePair(ws, sc, pairs, k, prune, limit); err != nil {
 						// Record the first error and stop the whole pool:
 						// without the abort flag every worker would grind
 						// through its share of the remaining pairs before
@@ -548,19 +639,60 @@ func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance) ([]PairDis
 	return pairs, nil
 }
 
+// ruleLimit stores every pair's per-sample band-path upper bound in
+// sc.ubs and derives the round's abandon threshold from the decision
+// boundary: a pair is flagged through the boundary only if its raw
+// distance is at most min + θ·(max − min), with θ the boundary at
+// density and min/max the exact batch extremes. The smallest upper
+// bound is at least min, and the largest at least max − min (distances
+// are non-negative), so T = minUB + θ·maxUB bounds every such raw
+// distance. It depends on no pair order, so it is the same at any
+// worker count. θ outside [0, 1) or a non-finite bound gives +Inf (no
+// threshold): at θ ≥ 1 every cap-passing pair is flagged.
+func (d *Detector) ruleLimit(sc *roundScratch, pairs []PairDistance, density float64) (float64, error) {
+	if cap(sc.ubs) < len(pairs) {
+		sc.ubs = make([]float64, len(pairs))
+	}
+	sc.ubs = sc.ubs[:len(pairs)]
+	lo, hi := math.Inf(1), 0.0
+	for k := range pairs {
+		ij := sc.pairIdx[k]
+		a, b := sc.normalized[ij[0]], sc.normalized[ij[1]]
+		ub, err := dtw.BandPathUpperBound(a, b, d.cfg.BandRadius)
+		if err != nil {
+			return 0, fmt.Errorf("core: upper bound %d/%d: %w", pairs[k].A, pairs[k].B, err)
+		}
+		ub = d.perSample(ub, a, b)
+		sc.ubs[k] = ub
+		// The built-in min and max propagate NaN, which the range check
+		// below then rejects.
+		lo, hi = min(lo, ub), max(hi, ub)
+	}
+	theta := d.cfg.Boundary.Threshold(density)
+	if !(theta >= 0 && theta < 1) {
+		return math.Inf(1), nil
+	}
+	if t := lo + float64(theta*hi); t < math.Inf(1) {
+		return t, nil
+	}
+	return math.Inf(1), nil
+}
+
 // resolvePair resolves pair k: run the banded DP with early abandoning
-// against the cap the pair would need to pass (falling back to the plain
-// comparison when pruning is off or no cap governs the pair). It writes
-// only pairs[k], so workers never share mutable state.
-func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []PairDistance, k int, prune bool) error {
+// against the smaller of the cap the pair would need to pass and the
+// round's boundary-derived limit (falling back to the plain comparison
+// when pruning is off or neither applies). It writes only pairs[k], so
+// workers never share mutable state.
+func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []PairDistance, k int, prune bool, limit float64) error {
 	ij := sc.pairIdx[k]
 	a, b := sc.normalized[ij[0]], sc.normalized[ij[1]]
 	p := &pairs[k]
-	// The prune threshold mirrors the confirmation phase's cap checks.
-	// When the adaptive cap governs the pair it is the only admissible
-	// threshold: pruning on the fixed cap alone would store a bound that
+	// The cap cutoff mirrors the confirmation phase's cap checks. When
+	// the adaptive cap governs the pair it is the only admissible cap
+	// cutoff: pruning on the fixed cap alone would store a bound that
 	// breaks the degenerate-round check, which compares every Raw
-	// against its NoiseCap.
+	// against its NoiseCap. An uncapped pair abandons against the limit
+	// alone.
 	t := math.Inf(1)
 	if prune {
 		if d.cfg.AdaptiveCapKappa > 0 && p.NoiseCap > 0 {
@@ -568,6 +700,7 @@ func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []Pair
 		} else if d.cfg.AbsoluteRawCap > 0 {
 			t = d.cfg.AbsoluteRawCap
 		}
+		t = min(t, limit)
 	}
 	if !math.IsInf(t, 1) {
 		raw, abandoned, err := ws.BandedDistanceAbandon(a, b, d.cfg.BandRadius, d.normDiv(a, b), t)
@@ -585,36 +718,27 @@ func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []Pair
 // pruning invisible to the Equation 8 normalization: it recomputes just
 // enough pruned pairs, in a deterministic order, to guarantee the
 // stored batch minimum and maximum equal the exact run's. The pruned
-// pairs that remain then carry bounds inside [min, max] — their own
-// normalized values are bounds, but they can never be flagged (the
-// bound exceeds their caps) and no longer perturb anyone else's
-// normalization. The pass is skipped when nothing was pruned, or when
-// no exactly-computed pair passes its caps: then no pair can be flagged
-// in either the pruned or the exact run (a pruned pair's true raw is at
-// least its bound, which fails the caps), so normalization differences
-// are unobservable in the verdict.
+// pairs that remain then carry bounds inside [min, max] and no longer
+// perturb anyone else's normalization; whether one of them could still
+// be flagged is repairVerdicts' job. The pass is skipped when nothing
+// was pruned, or when no stored Raw — exact distance or pruned bound —
+// passes its caps: then no pair can be flagged in either the pruned or
+// the exact run (a pruned pair's true raw is at least its bound, so it
+// fails the caps too), and normalization differences are unobservable
+// in the verdict.
 func (d *Detector) restoreBatchExtremes(sc *roundScratch, pairs []PairDistance) error {
 	hasPruned, hasAnchor := false, false
 	minE, maxE := math.Inf(1), math.Inf(-1)
 	for k := range pairs {
+		r := pairs[k].Raw
+		if d.passesCaps(r, pairs[k].NoiseCap) {
+			hasAnchor = true
+		}
 		if pairs[k].Pruned {
 			hasPruned = true
 			continue
 		}
-		r := pairs[k].Raw
-		if r < minE {
-			minE = r
-		}
-		if r > maxE {
-			maxE = r
-		}
-		if d.cfg.AbsoluteRawCap > 0 && r > d.cfg.AbsoluteRawCap {
-			continue
-		}
-		if c := pairs[k].NoiseCap; c > 0 && r > c {
-			continue
-		}
-		hasAnchor = true
+		minE, maxE = min(minE, r), max(maxE, r)
 	}
 	if !hasPruned || !hasAnchor {
 		return nil
@@ -628,7 +752,7 @@ func (d *Detector) restoreBatchExtremes(sc *roundScratch, pairs []PairDistance) 
 	// so minE is the exact run's minimum and the stored batch's.
 	sc.order = sc.order[:0]
 	for k := range pairs {
-		if pairs[k].Pruned {
+		if pairs[k].Pruned && pairs[k].Raw < minE {
 			sc.order = append(sc.order, int32(k))
 		}
 	}
@@ -650,29 +774,16 @@ func (d *Detector) restoreBatchExtremes(sc *roundScratch, pairs []PairDistance) 
 		}
 	}
 	// Max repair: a surviving bound can also exceed the exact maximum
-	// and stretch the normalization. The staircase upper bound caps each
-	// remaining pruned pair's true raw; visiting by descending upper
-	// bound and recomputing while it exceeds maxE leaves every remaining
-	// pair (bound and true raw alike) at or below maxE, with maxE
-	// attained by a computed pair.
+	// and stretch the normalization. The staircase upper bound in sc.ubs
+	// caps each remaining pruned pair's true raw; visiting by descending
+	// upper bound and recomputing while it exceeds maxE leaves every
+	// remaining pair (bound and true raw alike) at or below maxE, with
+	// maxE attained by a computed pair.
 	sc.order = sc.order[:0]
 	for k := range pairs {
-		if pairs[k].Pruned {
+		if pairs[k].Pruned && sc.ubs[k] > maxE {
 			sc.order = append(sc.order, int32(k))
 		}
-	}
-	if cap(sc.ubs) < len(pairs) {
-		sc.ubs = make([]float64, len(pairs))
-	}
-	sc.ubs = sc.ubs[:len(pairs)]
-	for _, k := range sc.order {
-		ij := sc.pairIdx[k]
-		a, b := sc.normalized[ij[0]], sc.normalized[ij[1]]
-		ub, err := dtw.BandPathUpperBound(a, b, d.cfg.BandRadius)
-		if err != nil {
-			return fmt.Errorf("core: upper bound %d/%d: %w", pairs[k].A, pairs[k].B, err)
-		}
-		sc.ubs[k] = d.perSample(ub, a, b)
 	}
 	slices.SortFunc(sc.order, func(x, y int32) int {
 		if sc.ubs[x] > sc.ubs[y] {
@@ -703,12 +814,7 @@ func (d *Detector) unprune(ws *dtw.Workspace, sc *roundScratch, pairs []PairDist
 		return err
 	}
 	p.Pruned = false
-	if p.Raw < *minE {
-		*minE = p.Raw
-	}
-	if p.Raw > *maxE {
-		*maxE = p.Raw
-	}
+	*minE, *maxE = min(*minE, p.Raw), max(*maxE, p.Raw)
 	return nil
 }
 

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"voiceprint/internal/dtw"
+	"voiceprint/internal/lda"
 	"voiceprint/internal/timeseries"
 	"voiceprint/internal/vanet"
 )
@@ -24,102 +28,190 @@ func pruneConfigs() map[string]Config {
 	return map[string]Config{"adaptive": adaptive, "fixed": fixed, "both": both}
 }
 
-// TestLBPruneEquivalence is the pruning contract: with LBPrune on, the
-// suspect set, every flag, and the raw/normalized values of every
-// unpruned pair are bit-identical to the exact run; pruned pairs carry
-// bounds, are marked, and are never flagged.
+// checkPruneVsExact is the pruning contract for one round at density:
+// with LBPrune on, the suspect set, every flag, and the raw/normalized
+// values of every unpruned pair are bit-identical to the exact run;
+// pruned pairs carry bounds at or below the exact raw, are marked, are
+// never flagged, and are counted. Normalized values are pinned whenever
+// some stored Raw passes its caps — otherwise nothing is flaggable, the
+// extremes repair is skipped, and only Raw is pinned. It also checks the
+// boundary-derived threshold T: a pair whose bound sits at or below its
+// cap cutoff was abandoned against T, so its bound exceeds T, and T is
+// at least every raw distance whose exact Eq 8 distance passes the
+// boundary. It returns the number of pairs left pruned.
+func checkPruneVsExact(t *testing.T, cfg Config, density float64, exact, fast *Result) int {
+	t.Helper()
+	if !reflect.DeepEqual(exact.Suspects, fast.Suspects) {
+		t.Fatalf("suspects %v != exact %v", fast.Suspects, exact.Suspects)
+	}
+	if len(fast.Pairs) != len(exact.Pairs) {
+		t.Fatalf("%d pairs vs %d", len(fast.Pairs), len(exact.Pairs))
+	}
+	anchor := false
+	for _, p := range fast.Pairs {
+		if cfg.AbsoluteRawCap > 0 && p.Raw > cfg.AbsoluteRawCap {
+			continue
+		}
+		if p.NoiseCap > 0 && p.Raw > p.NoiseCap {
+			continue
+		}
+		anchor = true
+	}
+	passing, abandonedT := math.Inf(-1), math.Inf(1)
+	for i, e := range exact.Pairs {
+		if cfg.Boundary.IsSybilPair(density, e.Normalized) {
+			passing = max(passing, e.Raw)
+		}
+		p := fast.Pairs[i]
+		capCut := math.Inf(1)
+		if cfg.AdaptiveCapKappa > 0 && p.NoiseCap > 0 {
+			capCut = p.NoiseCap
+		} else if cfg.AbsoluteRawCap > 0 {
+			capCut = cfg.AbsoluteRawCap
+		}
+		if p.Pruned && p.Raw <= capCut {
+			abandonedT = min(abandonedT, p.Raw)
+		}
+	}
+	if passing >= abandonedT {
+		t.Fatalf("a pair passing the boundary has raw %v, but a pair was abandoned against T at %v", passing, abandonedT)
+	}
+	pruned := 0
+	for i, p := range fast.Pairs {
+		e := exact.Pairs[i]
+		if p.A != e.A || p.B != e.B {
+			t.Fatalf("pair %d: order diverged", i)
+		}
+		if p.Flagged != e.Flagged {
+			t.Fatalf("pair %d/%d-%d: flagged %v != exact %v", i, p.A, p.B, p.Flagged, e.Flagged)
+		}
+		if p.Pruned {
+			pruned++
+			if p.Flagged {
+				t.Fatalf("pair %d: pruned pair flagged", i)
+			}
+			if p.Raw > e.Raw {
+				t.Fatalf("pair %d: bound %v exceeds exact raw %v", i, p.Raw, e.Raw)
+			}
+			continue
+		}
+		if math.Float64bits(p.Raw) != math.Float64bits(e.Raw) {
+			t.Fatalf("pair %d: raw %v != exact %v", i, p.Raw, e.Raw)
+		}
+		if anchor && math.Float64bits(p.Normalized) != math.Float64bits(e.Normalized) {
+			t.Fatalf("pair %d: normalized %v != exact %v", i, p.Normalized, e.Normalized)
+		}
+	}
+	if fast.PairsPrunedLB != pruned {
+		t.Fatalf("PairsPrunedLB %d, but %d pairs are marked Pruned", fast.PairsPrunedLB, pruned)
+	}
+	if got := fast.PairsCompared + fast.PairsPrunedLB; got != len(fast.Pairs) {
+		t.Fatalf("counters sum to %d, want %d", got, len(fast.Pairs))
+	}
+	if exact.PairsPrunedLB != 0 || exact.PairsCompared != len(exact.Pairs) {
+		t.Fatalf("exact run counted %d pruned / %d compared", exact.PairsPrunedLB, exact.PairsCompared)
+	}
+	return pruned
+}
+
+// detectBoth runs one round with pruning off and on.
+func detectBoth(t *testing.T, cfg Config, series map[vanet.NodeID]*timeseries.Series, density float64) (exact, fast *Result) {
+	t.Helper()
+	for _, prune := range []bool{false, true} {
+		c := cfg
+		c.LBPrune = prune
+		det, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := det.Detect(series, density)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prune {
+			fast = res
+		} else {
+			exact = res
+		}
+	}
+	return exact, fast
+}
+
+// TestLBPruneEquivalence runs the pruning contract over the cap
+// configurations on Sybil-cluster rounds.
 func TestLBPruneEquivalence(t *testing.T) {
 	for name, cfg := range pruneConfigs() {
 		t.Run(name, func(t *testing.T) {
-			exactDet, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pruneCfg := cfg
-			pruneCfg.LBPrune = true
-			pruneDet, err := New(pruneCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			pruned := 0
 			for _, seed := range []int64{201, 202, 203} {
 				rng := rand.New(rand.NewSource(seed))
-				series := sybilCluster(rng, 10)
-				exact, err := exactDet.Detect(series, 20)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fast, err := pruneDet.Detect(series, 20)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(exact.Suspects, fast.Suspects) {
-					t.Fatalf("seed %d: suspects %v != exact %v", seed, fast.Suspects, exact.Suspects)
-				}
-				if len(fast.Pairs) != len(exact.Pairs) {
-					t.Fatalf("seed %d: %d pairs vs %d", seed, len(fast.Pairs), len(exact.Pairs))
-				}
-				// The pruned run must restore the exact batch extremes, so
-				// unpruned pairs match the exact run bit for bit — Raw and
-				// Normalized both — whenever any unpruned pair passes its
-				// caps (otherwise nothing is flaggable and only Raw is
-				// pinned).
-				anchor := false
-				for _, p := range fast.Pairs {
-					if p.Pruned {
-						continue
-					}
-					if cfg.AbsoluteRawCap > 0 && p.Raw > cfg.AbsoluteRawCap {
-						continue
-					}
-					if p.NoiseCap > 0 && p.Raw > p.NoiseCap {
-						continue
-					}
-					anchor = true
-				}
-				prunedBefore := pruned
-				for i, p := range fast.Pairs {
-					e := exact.Pairs[i]
-					if p.A != e.A || p.B != e.B {
-						t.Fatalf("seed %d pair %d: order diverged", seed, i)
-					}
-					if p.Flagged != e.Flagged {
-						t.Fatalf("seed %d pair %d/%d-%d: flagged %v != exact %v",
-							seed, i, p.A, p.B, p.Flagged, e.Flagged)
-					}
-					if p.Pruned {
-						pruned++
-						if p.Flagged {
-							t.Fatalf("seed %d pair %d: pruned pair flagged", seed, i)
-						}
-						if p.Raw > e.Raw {
-							t.Fatalf("seed %d pair %d: bound %v exceeds exact raw %v", seed, i, p.Raw, e.Raw)
-						}
-						continue
-					}
-					if p.Raw != e.Raw {
-						t.Fatalf("seed %d pair %d: raw %v != exact %v", seed, i, p.Raw, e.Raw)
-					}
-					if anchor && p.Normalized != e.Normalized {
-						t.Fatalf("seed %d pair %d: normalized %v != exact %v", seed, i, p.Normalized, e.Normalized)
-					}
-				}
-				if marked := pruned - prunedBefore; fast.PairsPrunedLB != marked {
-					t.Fatalf("seed %d: PairsPrunedLB %d, but %d pairs are marked Pruned", seed, fast.PairsPrunedLB, marked)
-				}
-				if got := fast.PairsCompared + fast.PairsPrunedLB; got != len(fast.Pairs) {
-					t.Fatalf("seed %d: counters sum to %d, want %d", seed, got, len(fast.Pairs))
-				}
-				if exact.PairsPrunedLB != 0 || exact.PairsCompared != len(exact.Pairs) {
-					t.Fatalf("seed %d: exact run counted %d pruned / %d compared", seed,
-						exact.PairsPrunedLB, exact.PairsCompared)
-				}
+				exact, fast := detectBoth(t, cfg, sybilCluster(rng, 10), 20)
+				pruned += checkPruneVsExact(t, cfg, 20, exact, fast)
 			}
 			if pruned == 0 {
 				t.Error("pruning never fired; the equivalence run proved nothing")
 			}
 		})
 	}
+}
+
+// fuzzRound synthesizes a round of n identities over a few physical
+// transmitters: identities that share one carry Sybil-like series, and
+// a zero noise level leaves the shared shadowed trend alone, which the
+// AR(1) estimator reads as zero noise (an uncapped pair).
+func fuzzRound(rng *rand.Rand, n int) map[vanet.NodeID]*timeseries.Series {
+	sources := make([]*timeseries.Series, 1+rng.Intn(n))
+	for i := range sources {
+		sources[i] = withShadow(vehicleTrace(rng), 3.0, rng)
+	}
+	series := make(map[vanet.NodeID]*timeseries.Series, n)
+	for id := 0; id < n; id++ {
+		src := timeseries.Shift(sources[rng.Intn(len(sources))], 6*rng.Float64()-3)
+		sigma := []float64{0, 0, 0.3, 1, 2}[rng.Intn(5)]
+		s := timeseries.New(src.Len())
+		for i := 0; i < src.Len(); i++ {
+			smp := src.At(i)
+			_ = s.Append(smp.T, smp.RSSI+sigma*rng.NormFloat64())
+		}
+		series[vanet.NodeID(id+1)] = timeseries.Drop(s, 0.1*rng.Float64(), rng)
+	}
+	return series
+}
+
+// FuzzPruneVsExact runs the pruning contract on random rounds: 3 to 12
+// identities, zero-noise ones among them, a random boundary θ in [0, 1),
+// a cap configuration (adaptive at four strengths, fixed, both, or
+// none) and 1 or 4 compare workers.
+func FuzzPruneVsExact(f *testing.F) {
+	for i := 0; i < 12; i++ {
+		f.Add(int64(900+i), uint8(3+i), uint16(i*5461), uint8(i), i%2 == 0)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, theta uint16, caps uint8, parallel bool) {
+		cfg := DefaultConfig(lda.Constant(float64(theta) / 65536))
+		cfg.MinMedianRSSIDBm = 0
+		switch caps % 7 {
+		case 6:
+			cfg.AdaptiveCapKappa = 0.5
+		case 1:
+			cfg.AdaptiveCapKappa = 6
+		case 2:
+			cfg.AdaptiveCapKappa = 40
+		case 3:
+			cfg.AdaptiveCapKappa = -1
+			cfg.AbsoluteRawCap = 0.05
+		case 4:
+			cfg.AbsoluteRawCap = 0.05
+		case 5:
+			cfg.AdaptiveCapKappa = -1
+		}
+		cfg.Workers = 1
+		if parallel {
+			cfg.Workers = 4
+		}
+		rng := rand.New(rand.NewSource(seed))
+		exact, fast := detectBoth(t, cfg, fuzzRound(rng, 3+int(n%10)), 20)
+		checkPruneVsExact(t, cfg, 20, exact, fast)
+	})
 }
 
 // TestDetectParallelDeterminismPruned re-runs the worker-count
@@ -193,7 +285,7 @@ func TestCompareWorkersAbortOnError(t *testing.T) {
 	}
 	np := n * (n - 1) / 2
 	buf := make([]PairDistance, 0, np) // comparePairs fills it in place
-	if _, err := d.comparePairs(sc, buf); err == nil {
+	if _, err := d.comparePairs(sc, buf, 0); err == nil {
 		t.Fatal("comparePairs should fail on the empty series")
 	}
 	resolved := 0
@@ -345,5 +437,183 @@ func TestMonitorSteadyStateAllocs(t *testing.T) {
 	// means a buffer stopped being reused.
 	if allocs > 16 {
 		t.Errorf("incremental monitor round allocates %.0f times, budget is 16", allocs)
+	}
+}
+
+// roundFor builds the compare phase's scratch for a round the way
+// Detect's collection and normalization phases do (no median floor):
+// sorted ids, Z-scored series and AR(1) noise variances.
+func roundFor(t *testing.T, series map[vanet.NodeID]*timeseries.Series) *roundScratch {
+	t.Helper()
+	sc := &roundScratch{}
+	for id := range series {
+		sc.ids = append(sc.ids, id)
+	}
+	slices.Sort(sc.ids)
+	for _, id := range sc.ids {
+		z, err := series[id].AppendZScored(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nu, ok := sc.noise.Estimate(z)
+		if !ok {
+			nu = sc.noise.RobustDiffStd(z)
+		}
+		sc.normalized = append(sc.normalized, z)
+		sc.noiseVar = append(sc.noiseVar, nu*nu)
+	}
+	return sc
+}
+
+// prunedPairs resolves a round's pairs the way cfg's pruning compare
+// phase does — abandon threshold, then the abandoning DP per pair — and,
+// when extremes is set, runs the extremes repair; the verdict repair
+// never runs. It first checks that the hand-built scratch reproduces
+// Detect's exact pairs.
+func prunedPairs(t *testing.T, cfg Config, series map[vanet.NodeID]*timeseries.Series, density float64, extremes bool) []PairDistance {
+	t.Helper()
+	det, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det.cfg.LBPrune = false
+	res, err := det.Detect(series, density)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := roundFor(t, series)
+	pairs, err := det.comparePairs(sc, nil, density)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range res.Pairs {
+		if p.Raw != pairs[i].Raw || p.NoiseCap != pairs[i].NoiseCap {
+			t.Fatalf("pair %d: roundFor drifted from Detect", i)
+		}
+	}
+	limit, err := det.ruleLimit(sc, pairs, density)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := dtw.GetWorkspace()
+	defer dtw.PutWorkspace(ws)
+	for k := range pairs {
+		if err := det.resolvePair(ws, sc, pairs, k, true, limit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if extremes {
+		if err := det.restoreBatchExtremes(sc, pairs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pairs
+}
+
+// TestPruneRepairsDegenerateLookingRound pins the verdict repair's
+// degenerate case. In this round one pair's true distance exceeds its
+// adaptive cap, so the exact round is not degenerate and flags through
+// the boundary alone; but the pair is abandoned against the
+// boundary-derived threshold at a bound within its cap, so the stored
+// batch looks degenerate, which would flag every cap-passing pair.
+func TestPruneRepairsDegenerateLookingRound(t *testing.T) {
+	cfg := DefaultConfig(lda.Constant(4441.0 / 65536))
+	cfg.MinMedianRSSIDBm = 0
+	cfg.AdaptiveCapKappa = 40
+	cfg.Workers = 1
+	series := fuzzRound(rand.New(rand.NewSource(1125)), 4)
+	det, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, fast := detectBoth(t, cfg, series, 20)
+	if det.degenerate(exact.Pairs) {
+		t.Fatal("exact round is degenerate; the test needs one that is not")
+	}
+	if !det.degenerate(prunedPairs(t, cfg, series, 20, true)) {
+		t.Fatal("stored batch does not look degenerate; the round no longer exercises the repair")
+	}
+	unflagged := false
+	for _, p := range exact.Pairs {
+		if !p.Flagged && det.passesCaps(p.Raw, p.NoiseCap) {
+			unflagged = true
+		}
+	}
+	if !unflagged {
+		t.Fatal("every cap-passing pair is flagged; a degenerate misreading would go unseen")
+	}
+	checkPruneVsExact(t, cfg, 20, exact, fast)
+}
+
+// TestPruneAnchorsOnBounds pins the extremes repair's anchor rule: in
+// this round no exactly computed pair passes its caps, but a pair
+// abandoned against the boundary-derived threshold stores a bound that
+// does, so the repair must still restore the exact batch extremes.
+func TestPruneAnchorsOnBounds(t *testing.T) {
+	cfg := DefaultConfig(lda.Constant(0.25))
+	cfg.MinMedianRSSIDBm = 0
+	cfg.AdaptiveCapKappa = 1
+	cfg.Workers = 1
+	cfg.LBPrune = true
+	series := fuzzRound(rand.New(rand.NewSource(228)), 5)
+	det, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchor, bound := false, false
+	for _, p := range prunedPairs(t, cfg, series, 20, false) {
+		if det.passesCaps(p.Raw, p.NoiseCap) {
+			anchor = anchor || !p.Pruned
+			bound = bound || p.Pruned
+		}
+	}
+	if anchor || !bound {
+		t.Fatalf("computed anchor %v, pruned anchor %v; the round needs only a pruned one", anchor, bound)
+	}
+	exact, fast := detectBoth(t, cfg, series, 20)
+	checkPruneVsExact(t, cfg, 20, exact, fast)
+}
+
+// TestRuleLimitBoundsPassingPairs pins the soundness of the
+// boundary-derived threshold: every pair whose exact Eq 8 distance
+// passes the boundary has a raw distance at or below T.
+func TestRuleLimitBoundsPassingPairs(t *testing.T) {
+	cfg := DefaultConfig(lda.Constant(0))
+	cfg.MinMedianRSSIDBm = 0
+	det, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := false
+	for seed := int64(0); seed < 8; seed++ {
+		series := sybilCluster(rand.New(rand.NewSource(400+seed)), 6)
+		sc := roundFor(t, series)
+		for _, theta := range []float64{0, 0.01, 0.2, 0.6, 0.99} {
+			det.cfg.Boundary = lda.Constant(theta)
+			pairs, err := det.comparePairs(sc, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			limit, err := det.ruleLimit(sc, pairs, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			norm, err := normalize(sc, pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, p := range pairs {
+				if norm[k] <= theta && p.Raw > limit {
+					t.Fatalf("seed %d θ %v: pair %d-%d passes the boundary with raw %v above T %v",
+						seed, theta, p.A, p.B, p.Raw, limit)
+				}
+				if p.Raw > limit {
+					tight = true
+				}
+			}
+		}
+	}
+	if !tight {
+		t.Error("T never fell below a raw distance; it abandons nothing")
 	}
 }

@@ -1,10 +1,12 @@
 package dtw
 
 // An upper bound for banded DTW, used by the detector's compare-phase
-// pruning: after early-abandoned pairs have recorded lower bounds, a
-// cheap upper bound lets the detector restore the exact batch maximum
-// without computing every pruned pair (see internal/core's
-// restoreBatchExtremes and DESIGN §10).
+// pruning: the round's smallest and largest upper bounds give the
+// abandon threshold derived from the decision boundary, and after
+// early-abandoned pairs have recorded lower bounds the same bounds let
+// the detector restore the exact batch maximum without computing every
+// pruned pair (see internal/core's ruleLimit and restoreBatchExtremes,
+// and DESIGN §10).
 
 // BandPathUpperBound returns the squared cost of one concrete warp
 // path admitted by the Sakoe-Chiba band of the given radius: the

@@ -375,39 +375,48 @@ func (s *PositionSignal) bucketize(claims []core.ClaimSample) ([]int64, []float6
 // minStd over the intersection returns 0 — a flat series cannot attest
 // to a shared shadowing trace.
 func pairCorrelation(ba []int64, da []float64, bb []int64, db []float64, minStd float64) (float64, int) {
-	var xs, ys []float64
-	i, j := 0, 0
-	for i < len(ba) && j < len(bb) {
+	// Two walks of the same intersection, one for the means and one for
+	// the centred sums, in place of copying the common bins out: the
+	// summation order is the copy's.
+	var mx, my float64
+	n := 0
+	for i, j := 0, 0; i < len(ba) && j < len(bb); {
 		switch {
 		case ba[i] < bb[j]:
 			i++
 		case ba[i] > bb[j]:
 			j++
 		default:
-			xs = append(xs, da[i])
-			ys = append(ys, db[j])
+			mx += da[i]
+			my += db[j]
+			n++
 			i++
 			j++
 		}
 	}
-	n := len(xs)
 	if n < 2 {
 		return 0, n
-	}
-	var mx, my float64
-	for k := 0; k < n; k++ {
-		mx += xs[k]
-		my += ys[k]
 	}
 	fn := float64(n)
 	mx /= fn
 	my /= fn
+	// float64(x*y) rounds each product before its add, so no
+	// architecture fuses them into one multiply-add.
 	var sxx, syy, sxy float64
-	for k := 0; k < n; k++ {
-		dx, dy := xs[k]-mx, ys[k]-my
-		sxx += dx * dx
-		syy += dy * dy
-		sxy += dx * dy
+	for i, j := 0, 0; i < len(ba) && j < len(bb); {
+		switch {
+		case ba[i] < bb[j]:
+			i++
+		case ba[i] > bb[j]:
+			j++
+		default:
+			dx, dy := da[i]-mx, db[j]-my
+			sxx += float64(dx * dx)
+			syy += float64(dy * dy)
+			sxy += float64(dx * dy)
+			i++
+			j++
+		}
 	}
 	if !(math.Sqrt(sxx/fn) >= minStd && math.Sqrt(syy/fn) >= minStd) {
 		return 0, n

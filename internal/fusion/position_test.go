@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -191,5 +192,91 @@ func TestPositionModelMismatchSelfCalibrates(t *testing.T) {
 	}
 	if len(res.Suspects) != 0 {
 		t.Errorf("uniform model mismatch produced flags: %v (scores %v)", res.Suspects, res.Scores)
+	}
+}
+
+// refPairCorrelation is pairCorrelation written the plain way: copy the
+// common bins out, then take the Pearson correlation of the copies with
+// the same summation order and product rounding.
+func refPairCorrelation(ba []int64, da []float64, bb []int64, db []float64, minStd float64) (float64, int) {
+	var xs, ys []float64
+	for i, j := 0, 0; i < len(ba) && j < len(bb); {
+		switch {
+		case ba[i] < bb[j]:
+			i++
+		case ba[i] > bb[j]:
+			j++
+		default:
+			xs = append(xs, da[i])
+			ys = append(ys, db[j])
+			i++
+			j++
+		}
+	}
+	n := len(xs)
+	if n < 2 {
+		return 0, n
+	}
+	var mx, my float64
+	for k := range xs {
+		mx += xs[k]
+		my += ys[k]
+	}
+	fn := float64(n)
+	mx /= fn
+	my /= fn
+	var sxx, syy, sxy float64
+	for k := range xs {
+		dx, dy := xs[k]-mx, ys[k]-my
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
+		sxy += float64(dx * dy)
+	}
+	if !(math.Sqrt(sxx/fn) >= minStd && math.Sqrt(syy/fn) >= minStd) {
+		return 0, n
+	}
+	r := sxy / math.Sqrt(sxx*syy)
+	if math.IsNaN(r) {
+		return 0, n
+	}
+	return r, n
+}
+
+// bucketSeries draws a sorted bin list (each bin kept with probability
+// 3/4) with a deviation per bin.
+func bucketSeries(rng *rand.Rand, bins int) ([]int64, []float64) {
+	var b []int64
+	var d []float64
+	for k := 0; k < bins; k++ {
+		if rng.Intn(4) == 0 {
+			continue
+		}
+		b = append(b, int64(k))
+		d = append(d, rng.NormFloat64()*3+math.Sin(float64(k)/5))
+	}
+	return b, d
+}
+
+// TestPairCorrelationMatchesCopy pins the two-walk pairCorrelation bit
+// for bit against the copying reference, and pins that it allocates
+// nothing.
+func TestPairCorrelationMatchesCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		ba, da := bucketSeries(rng, 1+rng.Intn(80))
+		bb, db := bucketSeries(rng, 1+rng.Intn(80))
+		minStd := []float64{0, 0.5, 5}[trial%3]
+		r, n := pairCorrelation(ba, da, bb, db, minStd)
+		wr, wn := refPairCorrelation(ba, da, bb, db, minStd)
+		if n != wn || math.Float64bits(r) != math.Float64bits(wr) {
+			t.Fatalf("trial %d: got (%v, %d), reference (%v, %d)", trial, r, n, wr, wn)
+		}
+	}
+	ba, da := bucketSeries(rng, 200)
+	bb, db := bucketSeries(rng, 200)
+	if allocs := testing.AllocsPerRun(20, func() {
+		pairCorrelation(ba, da, bb, db, 0.5)
+	}); allocs != 0 {
+		t.Errorf("pairCorrelation allocates %.0f times per call, want 0", allocs)
 	}
 }

@@ -32,7 +32,16 @@ type Boundary struct {
 
 // IsSybilPair applies the rule.
 func (b Boundary) IsSybilPair(density, distance float64) bool {
-	return distance <= b.K*density+b.B
+	return distance <= b.Threshold(density)
+}
+
+// Threshold is the rule's right-hand side at density, K*density + B: the
+// largest normalized distance flagged there. The explicit float64
+// conversion rounds the product before the add, so no architecture
+// fuses the two into one multiply-add, and every caller that derives a
+// bound from the rule sees the same bits the rule compares against.
+func (b Boundary) Threshold(density float64) float64 {
+	return float64(b.K*density) + b.B
 }
 
 // String renders the boundary like the paper reports it.

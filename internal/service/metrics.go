@@ -215,7 +215,7 @@ func (m *Metrics) Instruments(reg *Registry) *obs.Registry {
 	r.Counter("rounds_coalesced_total", "Scheduled rounds skipped because the previous round was in flight.", &m.RoundsCoalesced)
 	r.Counter("suspects_flagged_total", "Identity flags summed over rounds.", &m.SuspectsFlagged)
 	r.Counter("pairs_compared_total", "Pairwise comparisons resolved by a full DTW computation.", &m.PairsCompared)
-	r.Counter("pairs_pruned_lb_total", "Pairwise comparisons abandoned once their DTW lower bound cleared the cap.", &m.PairsPrunedLB)
+	r.Counter("pairs_pruned_lb_total", "Pairwise comparisons abandoned once their DTW lower bound cleared the cap or the boundary-derived threshold.", &m.PairsPrunedLB)
 	r.Counter("round_latency_ns_total", "Wall-clock nanoseconds summed over rounds; round_latency_ns is the source of truth, divide by rounds_run_total for a mean across all returned rounds.", &m.RoundLatencyNs)
 	r.Counter("connections_opened_total", "Ingest connections accepted.", &m.ConnsOpened)
 	r.Counter("connections_closed_total", "Ingest connections closed.", &m.ConnsClosed)
