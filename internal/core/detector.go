@@ -18,6 +18,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -103,17 +104,20 @@ type Config struct {
 	// DP abandons a pair as soon as a row minimum (a lower bound on the
 	// final distance) exceeds the smaller of the raw cap the pair would
 	// have to pass and a per-round threshold derived from the decision
-	// boundary, above which no pair can be flagged; the pair records that
-	// bound as its Raw (marked Pruned). Flags, Suspects and the raw
-	// distances of unpruned pairs are bit-identical with pruning on or off
-	// — one branch-and-bound pass recomputes just enough pruned pairs to
-	// restore the exact batch min and max before the Equation 8
-	// normalization, and a second recomputes every pruned pair whose bound
-	// could still be flagged — but a pruned pair's Raw/Normalized are
-	// bounds, not distances, and a bound may sit at or below the pair's
-	// cap. The zero value (off) is the bare-library default so
-	// training-data harvesting and the figure pipelines keep seeing true
-	// distances; deployments flip it on (voiceprintd does by default).
+	// boundary, above which no pair can be flagged, but never at or below
+	// the round's smallest band-path upper bound; the pair records that
+	// bound as its Raw (marked Pruned). Flags, Suspects and the raw and
+	// normalized distances of unpruned pairs are bit-identical with
+	// pruning on or off — a pass before the others computes in full every
+	// pair that could hold the batch maximum and the floor keeps the pair
+	// holding the minimum from being abandoned, so the Equation 8 batch
+	// min and max are exact, and afterwards every pruned pair whose bound
+	// could still be flagged is recomputed — but a pruned pair's
+	// Raw/Normalized are bounds, not distances, and a bound may sit at or
+	// below the pair's cap. The zero value (off) is the bare-library
+	// default so training-data harvesting and the figure pipelines keep
+	// seeing true distances; deployments flip it on (voiceprintd does by
+	// default).
 	// Pruning requires a Sakoe-Chiba band: with BandRadius < 0
 	// (unconstrained-FastDTW ablation) the flag is ignored.
 	LBPrune bool
@@ -230,10 +234,11 @@ type PairDistance struct {
 	// Pruned reports that lower-bound pruning (Config.LBPrune) abandoned
 	// the pair's banded DP scan. Raw and Normalized then hold the scan's
 	// prefix minimum, a lower bound on the true distance, not the distance
-	// itself. The bound exceeds the pair's cap or the round's
-	// boundary-derived threshold, so it may sit at or below the cap.
-	// Pruned pairs are never flagged: the compare phase recomputes every
-	// pruned pair that the exact run could flag.
+	// itself. The bound exceeds the round's smallest upper bound and
+	// either the pair's cap or the round's boundary-derived threshold, so
+	// it may sit at or below the cap, but never at or below the batch
+	// minimum. Pruned pairs are never flagged: the compare phase
+	// recomputes every pruned pair that the exact run could flag.
 	Pruned bool
 }
 
@@ -264,7 +269,8 @@ type Result struct {
 	// for bare Detector rounds.
 	Confirmed map[vanet.NodeID]bool
 	// PairsCompared counts the pairs whose DTW distance was computed in
-	// full this round (including pairs either pruning repair recomputed);
+	// full this round (including pairs pruning computed up front to fix
+	// the batch maximum, and pairs the verdict repair recomputed);
 	// PairsPrunedLB the pairs left Pruned, resolved by the banded DP's
 	// early-abandoned prefix minimum. The two always sum to len(Pairs).
 	PairsCompared int
@@ -291,11 +297,12 @@ type roundScratch struct {
 	norm       []float64
 	med        []float64 // median-filter scratch (sorted in place)
 	noise      stats.AR1NoiseEstimator
-	// Pruning working set: every pair's per-sample upper bound (the
-	// boundary-derived threshold and the max repair read it) and the
-	// extremes repair's visiting order.
+	// Pruning working set: every pair's per-sample upper bound, the
+	// max-first pass's visiting order (the verdict repair reuses it), and
+	// the pairs that pass computed in full.
 	order []int32
 	ubs   []float64
+	done  []bool
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(roundScratch) }}
@@ -407,7 +414,7 @@ func (d *Detector) detect(series map[vanet.NodeID]*timeseries.Series, density fl
 			return nil, err
 		}
 	}
-	// Both repairs clear Pruned on every pair they recompute, so the
+	// The verdict repair clears Pruned on every pair it recomputes, so the
 	// pairs still marked are exactly those resolved by a bound.
 	for _, p := range pairs {
 		if p.Pruned {
@@ -499,17 +506,17 @@ func (d *Detector) degenerate(pairs []PairDistance) bool {
 //
 //   - Some stored Raw exceeds its NoiseCap. The pair's true distance is at
 //     least that Raw, so the exact round is not degenerate either, and a
-//     pair is flagged only through the boundary. The extremes repair made
-//     the stored batch min and max exact whenever any pair can pass its
-//     caps, so a pruned pair's normalized bound is at most its exact
-//     normalized distance; recomputing the cap-passing pruned pairs whose
-//     normalized bound passes the boundary leaves out only pairs the
-//     exact run cannot flag, whatever the rounding of the threshold.
+//     pair is flagged only through the boundary. The stored batch min and
+//     max are exact (see maxFirst), so a pruned pair's normalized bound is
+//     at most its exact normalized distance; recomputing the cap-passing
+//     pruned pairs whose normalized bound passes the boundary leaves out
+//     only pairs the exact run cannot flag, whatever the rounding of the
+//     threshold.
 //   - Every stored Raw is within its NoiseCap: the stored batch looks
 //     degenerate, but a pruned pair's true distance may not be. Every
 //     pruned pair is recomputed and the batch is exact.
 //
-// Recomputed pairs keep their true distances inside the repaired batch
+// Recomputed pairs keep their true distances inside the exact batch
 // extremes; the batch is renormalized all the same.
 func (d *Detector) repairVerdicts(sc *roundScratch, pairs []PairDistance, norm []float64, density float64) ([]float64, error) {
 	looksDegenerate := d.degenerate(pairs)
@@ -546,8 +553,8 @@ func (d *Detector) prunes() bool { return d.cfg.LBPrune && d.cfg.BandRadius >= 0
 // only its preassigned slots on its own dtw.Workspace, so the returned
 // slice is deterministic (identical to the sequential loop) at any
 // worker count and any pool state. When pruning, one sequential pass
-// first derives the round's abandon threshold from the decision
-// boundary at density.
+// (maxFirst) first fixes the batch maximum and derives the round's
+// abandon cutoffs.
 func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance, density float64) ([]PairDistance, error) {
 	n := len(sc.ids)
 	np := n * (n - 1) / 2
@@ -559,6 +566,7 @@ func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance, density fl
 	}
 	pairs := buf[:0]
 	sc.pairIdx = sc.pairIdx[:0]
+	sc.done = sc.done[:0]
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			pd := PairDistance{A: sc.ids[i], B: sc.ids[j]}
@@ -567,13 +575,14 @@ func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance, density fl
 			}
 			pairs = append(pairs, pd)
 			sc.pairIdx = append(sc.pairIdx, [2]int32{int32(i), int32(j)})
+			sc.done = append(sc.done, false)
 		}
 	}
-	prune := d.prunes()
-	limit := math.Inf(1)
-	if prune {
+	// A floor of +Inf resolves every pair in full.
+	floor, limit := math.Inf(1), math.Inf(1)
+	if d.prunes() {
 		var err error
-		if limit, err = d.ruleLimit(sc, pairs, density); err != nil {
+		if floor, limit, err = d.maxFirst(sc, pairs, density); err != nil {
 			return nil, err
 		}
 	}
@@ -591,7 +600,7 @@ func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance, density fl
 		ws := dtw.GetWorkspace()
 		defer dtw.PutWorkspace(ws)
 		for k := range pairs {
-			if err := d.resolvePair(ws, sc, pairs, k, prune, limit); err != nil {
+			if err := d.resolvePair(ws, sc, pairs, k, floor, limit); err != nil {
 				return nil, err
 			}
 		}
@@ -614,7 +623,7 @@ func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance, density fl
 					if k >= np {
 						return
 					}
-					if err := d.resolvePair(ws, sc, pairs, k, prune, limit); err != nil {
+					if err := d.resolvePair(ws, sc, pairs, k, floor, limit); err != nil {
 						// Record the first error and stop the whole pool:
 						// without the abort flag every worker would grind
 						// through its share of the remaining pairs before
@@ -631,59 +640,102 @@ func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance, density fl
 			return nil, firstErr
 		}
 	}
-	if prune {
-		if err := d.restoreBatchExtremes(sc, pairs); err != nil {
-			return nil, err
-		}
-	}
 	return pairs, nil
 }
 
-// ruleLimit stores every pair's per-sample band-path upper bound in
-// sc.ubs and derives the round's abandon threshold from the decision
-// boundary: a pair is flagged through the boundary only if its raw
-// distance is at most min + θ·(max − min), with θ the boundary at
-// density and min/max the exact batch extremes. The smallest upper
-// bound is at least min, and the largest at least max − min (distances
-// are non-negative), so T = minUB + θ·maxUB bounds every such raw
-// distance. It depends on no pair order, so it is the same at any
-// worker count. θ outside [0, 1) or a non-finite bound gives +Inf (no
-// threshold): at θ ≥ 1 every cap-passing pair is flagged.
-func (d *Detector) ruleLimit(sc *roundScratch, pairs []PairDistance, density float64) (float64, error) {
+// maxFirst is the pruning pass run before the fan-out; it makes the
+// Equation 8 batch extremes exact by construction. It stores every
+// pair's per-sample band-path upper bound in sc.ubs, then computes in
+// full, by descending bound, every pair whose bound exceeds the running
+// exact maximum maxE, marking it in sc.done. Every other pair's true
+// distance is at most its bound, so at most maxE, and maxE is the exact
+// batch maximum whatever the others store.
+//
+// It returns the floor no abandon cutoff may undercut, the smallest
+// bound minUB: the pair holding it has row minima ≤ its distance ≤ minUB,
+// so it is never abandoned, the batch minimum is a computed distance,
+// and every pruned bound lies above it. It also returns the
+// boundary-derived threshold T = minUB + θ·maxE: a pair is flagged
+// through the boundary only if its raw distance is at most
+// min + θ·(max − min), and min ≤ minUB, max − min ≤ maxE. θ outside
+// [0, 1) gives T = +Inf (at θ ≥ 1 every cap-passing pair is flagged); a
+// non-finite bound gives floor +Inf, and the round runs unpruned. No
+// step depends on pair scheduling, so the result is the same at any
+// worker count.
+func (d *Detector) maxFirst(sc *roundScratch, pairs []PairDistance, density float64) (float64, float64, error) {
+	inf := math.Inf(1)
 	if cap(sc.ubs) < len(pairs) {
 		sc.ubs = make([]float64, len(pairs))
 	}
 	sc.ubs = sc.ubs[:len(pairs)]
-	lo, hi := math.Inf(1), 0.0
+	floor, top := inf, 0
 	for k := range pairs {
 		ij := sc.pairIdx[k]
 		a, b := sc.normalized[ij[0]], sc.normalized[ij[1]]
 		ub, err := dtw.BandPathUpperBound(a, b, d.cfg.BandRadius)
 		if err != nil {
-			return 0, fmt.Errorf("core: upper bound %d/%d: %w", pairs[k].A, pairs[k].B, err)
+			return 0, 0, fmt.Errorf("core: upper bound %d/%d: %w", pairs[k].A, pairs[k].B, err)
 		}
 		ub = d.perSample(ub, a, b)
+		if nonFinite(ub) {
+			return inf, inf, nil
+		}
 		sc.ubs[k] = ub
-		// The built-in min and max propagate NaN, which the range check
-		// below then rejects.
-		lo, hi = min(lo, ub), max(hi, ub)
+		floor = min(floor, ub)
+		if ub > sc.ubs[top] {
+			top = k
+		}
+	}
+	ws := dtw.GetWorkspace()
+	defer dtw.PutWorkspace(ws)
+	// The largest-bound pair goes first, alone: its exact distance leaves
+	// only the pairs whose bound exceeds it to sort.
+	ij := sc.pairIdx[top]
+	if err := d.comparePairAt(ws, &pairs[top], sc.normalized[ij[0]], sc.normalized[ij[1]]); err != nil {
+		return 0, 0, err
+	}
+	sc.done[top] = true
+	maxE := pairs[top].Raw
+	sc.order = sc.order[:0]
+	for k := range pairs {
+		if sc.ubs[k] > maxE && !sc.done[k] {
+			sc.order = append(sc.order, int32(k))
+		}
+	}
+	slices.SortFunc(sc.order, func(x, y int32) int {
+		if c := cmp.Compare(sc.ubs[y], sc.ubs[x]); c != 0 {
+			return c
+		}
+		return int(x) - int(y)
+	})
+	for _, k := range sc.order {
+		if !(sc.ubs[k] > maxE) {
+			break
+		}
+		ij := sc.pairIdx[k]
+		if err := d.comparePairAt(ws, &pairs[k], sc.normalized[ij[0]], sc.normalized[ij[1]]); err != nil {
+			return 0, 0, err
+		}
+		sc.done[k] = true
+		maxE = max(maxE, pairs[k].Raw)
 	}
 	theta := d.cfg.Boundary.Threshold(density)
 	if !(theta >= 0 && theta < 1) {
-		return math.Inf(1), nil
+		return floor, inf, nil
 	}
-	if t := lo + float64(theta*hi); t < math.Inf(1) {
-		return t, nil
-	}
-	return math.Inf(1), nil
+	return floor, floor + float64(theta*maxE), nil
 }
 
-// resolvePair resolves pair k: run the banded DP with early abandoning
-// against the smaller of the cap the pair would need to pass and the
-// round's boundary-derived limit (falling back to the plain comparison
-// when pruning is off or neither applies). It writes only pairs[k], so
-// workers never share mutable state.
-func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []PairDistance, k int, prune bool, limit float64) error {
+// resolvePair resolves pair k unless maxFirst already computed it: run
+// the banded DP with early abandoning against the smaller of the cap the
+// pair would need to pass and the round's boundary-derived limit, raised
+// to the floor (falling back to the plain comparison when pruning is off
+// or no cutoff applies). It writes only pairs[k], so workers never share
+// mutable state.
+func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []PairDistance, k int, floor, limit float64) error {
+	if sc.done[k] {
+		return nil
+	}
 	ij := sc.pairIdx[k]
 	a, b := sc.normalized[ij[0]], sc.normalized[ij[1]]
 	p := &pairs[k]
@@ -693,16 +745,13 @@ func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []Pair
 	// breaks the degenerate-round check, which compares every Raw
 	// against its NoiseCap. An uncapped pair abandons against the limit
 	// alone.
-	t := math.Inf(1)
-	if prune {
-		if d.cfg.AdaptiveCapKappa > 0 && p.NoiseCap > 0 {
-			t = p.NoiseCap
-		} else if d.cfg.AbsoluteRawCap > 0 {
-			t = d.cfg.AbsoluteRawCap
-		}
-		t = min(t, limit)
+	capCut := math.Inf(1)
+	if d.cfg.AdaptiveCapKappa > 0 && p.NoiseCap > 0 {
+		capCut = p.NoiseCap
+	} else if d.cfg.AbsoluteRawCap > 0 {
+		capCut = d.cfg.AbsoluteRawCap
 	}
-	if !math.IsInf(t, 1) {
+	if t := max(floor, min(capCut, limit)); !math.IsInf(t, 1) {
 		raw, abandoned, err := ws.BandedDistanceAbandon(a, b, d.cfg.BandRadius, d.normDiv(a, b), t)
 		if err != nil {
 			return fmt.Errorf("core: compare %d/%d: %w", p.A, p.B, err)
@@ -712,110 +761,6 @@ func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []Pair
 		return nil
 	}
 	return d.comparePairAt(ws, p, a, b)
-}
-
-// restoreBatchExtremes is the branch-and-bound repair pass that makes
-// pruning invisible to the Equation 8 normalization: it recomputes just
-// enough pruned pairs, in a deterministic order, to guarantee the
-// stored batch minimum and maximum equal the exact run's. The pruned
-// pairs that remain then carry bounds inside [min, max] and no longer
-// perturb anyone else's normalization; whether one of them could still
-// be flagged is repairVerdicts' job. The pass is skipped when nothing
-// was pruned, or when no stored Raw — exact distance or pruned bound —
-// passes its caps: then no pair can be flagged in either the pruned or
-// the exact run (a pruned pair's true raw is at least its bound, so it
-// fails the caps too), and normalization differences are unobservable
-// in the verdict.
-func (d *Detector) restoreBatchExtremes(sc *roundScratch, pairs []PairDistance) error {
-	hasPruned, hasAnchor := false, false
-	minE, maxE := math.Inf(1), math.Inf(-1)
-	for k := range pairs {
-		r := pairs[k].Raw
-		if d.passesCaps(r, pairs[k].NoiseCap) {
-			hasAnchor = true
-		}
-		if pairs[k].Pruned {
-			hasPruned = true
-			continue
-		}
-		minE, maxE = min(minE, r), max(maxE, r)
-	}
-	if !hasPruned || !hasAnchor {
-		return nil
-	}
-	ws := dtw.GetWorkspace()
-	defer dtw.PutWorkspace(ws)
-	// Min repair: visit pruned pairs by ascending lower bound and
-	// recompute while the bound could still undercut the exact minimum.
-	// On exit every remaining pruned pair's true raw (at least its
-	// bound) is at least minE, and minE is attained by a computed pair —
-	// so minE is the exact run's minimum and the stored batch's.
-	sc.order = sc.order[:0]
-	for k := range pairs {
-		if pairs[k].Pruned && pairs[k].Raw < minE {
-			sc.order = append(sc.order, int32(k))
-		}
-	}
-	slices.SortFunc(sc.order, func(x, y int32) int {
-		if pairs[x].Raw < pairs[y].Raw {
-			return -1
-		}
-		if pairs[x].Raw > pairs[y].Raw {
-			return 1
-		}
-		return int(x) - int(y)
-	})
-	for _, k := range sc.order {
-		if !(pairs[k].Raw < minE) {
-			break
-		}
-		if err := d.unprune(ws, sc, pairs, int(k), &minE, &maxE); err != nil {
-			return err
-		}
-	}
-	// Max repair: a surviving bound can also exceed the exact maximum
-	// and stretch the normalization. The staircase upper bound in sc.ubs
-	// caps each remaining pruned pair's true raw; visiting by descending
-	// upper bound and recomputing while it exceeds maxE leaves every
-	// remaining pair (bound and true raw alike) at or below maxE, with
-	// maxE attained by a computed pair.
-	sc.order = sc.order[:0]
-	for k := range pairs {
-		if pairs[k].Pruned && sc.ubs[k] > maxE {
-			sc.order = append(sc.order, int32(k))
-		}
-	}
-	slices.SortFunc(sc.order, func(x, y int32) int {
-		if sc.ubs[x] > sc.ubs[y] {
-			return -1
-		}
-		if sc.ubs[x] < sc.ubs[y] {
-			return 1
-		}
-		return int(x) - int(y)
-	})
-	for _, k := range sc.order {
-		if !(sc.ubs[k] > maxE) {
-			break
-		}
-		if err := d.unprune(ws, sc, pairs, int(k), &minE, &maxE); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// unprune recomputes one pruned pair exactly and folds it into the
-// running batch extremes.
-func (d *Detector) unprune(ws *dtw.Workspace, sc *roundScratch, pairs []PairDistance, k int, minE, maxE *float64) error {
-	ij := sc.pairIdx[k]
-	p := &pairs[k]
-	if err := d.comparePairAt(ws, p, sc.normalized[ij[0]], sc.normalized[ij[1]]); err != nil {
-		return err
-	}
-	p.Pruned = false
-	*minE, *maxE = min(*minE, p.Raw), max(*maxE, p.Raw)
-	return nil
 }
 
 // comparePairAt fills in one pair's raw distance in place, comparing the

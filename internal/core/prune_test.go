@@ -32,9 +32,8 @@ func pruneConfigs() map[string]Config {
 // with LBPrune on, the suspect set, every flag, and the raw/normalized
 // values of every unpruned pair are bit-identical to the exact run;
 // pruned pairs carry bounds at or below the exact raw, are marked, are
-// never flagged, and are counted. Normalized values are pinned whenever
-// some stored Raw passes its caps — otherwise nothing is flaggable, the
-// extremes repair is skipped, and only Raw is pinned. It also checks the
+// never flagged, and are counted. The stored batch min and max are the
+// exact run's bits, and unpruned pairs attain them. It also checks the
 // boundary-derived threshold T: a pair whose bound sits at or below its
 // cap cutoff was abandoned against T, so its bound exceeds T, and T is
 // at least every raw distance whose exact Eq 8 distance passes the
@@ -47,15 +46,20 @@ func checkPruneVsExact(t *testing.T, cfg Config, density float64, exact, fast *R
 	if len(fast.Pairs) != len(exact.Pairs) {
 		t.Fatalf("%d pairs vs %d", len(fast.Pairs), len(exact.Pairs))
 	}
-	anchor := false
+	lo, hi := batchExtremes(exact.Pairs)
+	if flo, fhi := batchExtremes(fast.Pairs); math.Float64bits(flo) != math.Float64bits(lo) ||
+		math.Float64bits(fhi) != math.Float64bits(hi) {
+		t.Fatalf("stored batch extremes [%v, %v] != exact [%v, %v]", flo, fhi, lo, hi)
+	}
+	attainsLo, attainsHi := false, false
 	for _, p := range fast.Pairs {
-		if cfg.AbsoluteRawCap > 0 && p.Raw > cfg.AbsoluteRawCap {
-			continue
+		if !p.Pruned {
+			attainsLo = attainsLo || p.Raw == lo
+			attainsHi = attainsHi || p.Raw == hi
 		}
-		if p.NoiseCap > 0 && p.Raw > p.NoiseCap {
-			continue
-		}
-		anchor = true
+	}
+	if !attainsLo || !attainsHi {
+		t.Fatalf("batch extremes [%v, %v] not attained by unpruned pairs (min %v, max %v)", lo, hi, attainsLo, attainsHi)
 	}
 	passing, abandonedT := math.Inf(-1), math.Inf(1)
 	for i, e := range exact.Pairs {
@@ -98,7 +102,7 @@ func checkPruneVsExact(t *testing.T, cfg Config, density float64, exact, fast *R
 		if math.Float64bits(p.Raw) != math.Float64bits(e.Raw) {
 			t.Fatalf("pair %d: raw %v != exact %v", i, p.Raw, e.Raw)
 		}
-		if anchor && math.Float64bits(p.Normalized) != math.Float64bits(e.Normalized) {
+		if math.Float64bits(p.Normalized) != math.Float64bits(e.Normalized) {
 			t.Fatalf("pair %d: normalized %v != exact %v", i, p.Normalized, e.Normalized)
 		}
 	}
@@ -112,6 +116,16 @@ func checkPruneVsExact(t *testing.T, cfg Config, density float64, exact, fast *R
 		t.Fatalf("exact run counted %d pruned / %d compared", exact.PairsPrunedLB, exact.PairsCompared)
 	}
 	return pruned
+}
+
+// batchExtremes returns the smallest and largest stored Raw, the min and
+// max the Equation 8 normalization divides by.
+func batchExtremes(pairs []PairDistance) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, p := range pairs {
+		lo, hi = min(lo, p.Raw), max(hi, p.Raw)
+	}
+	return lo, hi
 }
 
 // detectBoth runs one round with pruning off and on.
@@ -216,8 +230,8 @@ func FuzzPruneVsExact(f *testing.F) {
 
 // TestDetectParallelDeterminismPruned re-runs the worker-count
 // determinism contract with pruning enabled: the LB decisions, the
-// branch-and-bound repair and the final pairs must not depend on how
-// pairs were scheduled across goroutines.
+// max-first pass and the final pairs must not depend on how pairs were
+// scheduled across goroutines.
 func TestDetectParallelDeterminismPruned(t *testing.T) {
 	rng := rand.New(rand.NewSource(204))
 	series := sybilCluster(rng, 12)
@@ -466,11 +480,10 @@ func roundFor(t *testing.T, series map[vanet.NodeID]*timeseries.Series) *roundSc
 }
 
 // prunedPairs resolves a round's pairs the way cfg's pruning compare
-// phase does — abandon threshold, then the abandoning DP per pair — and,
-// when extremes is set, runs the extremes repair; the verdict repair
-// never runs. It first checks that the hand-built scratch reproduces
-// Detect's exact pairs.
-func prunedPairs(t *testing.T, cfg Config, series map[vanet.NodeID]*timeseries.Series, density float64, extremes bool) []PairDistance {
+// phase does — the max-first pass, then the abandoning DP per pair —
+// without the verdict repair. It first checks that the hand-built
+// scratch reproduces Detect's exact pairs.
+func prunedPairs(t *testing.T, cfg Config, series map[vanet.NodeID]*timeseries.Series, density float64) []PairDistance {
 	t.Helper()
 	det, err := New(cfg)
 	if err != nil {
@@ -491,21 +504,10 @@ func prunedPairs(t *testing.T, cfg Config, series map[vanet.NodeID]*timeseries.S
 			t.Fatalf("pair %d: roundFor drifted from Detect", i)
 		}
 	}
-	limit, err := det.ruleLimit(sc, pairs, density)
+	det.cfg.LBPrune = true
+	pairs, err = det.comparePairs(sc, nil, density)
 	if err != nil {
 		t.Fatal(err)
-	}
-	ws := dtw.GetWorkspace()
-	defer dtw.PutWorkspace(ws)
-	for k := range pairs {
-		if err := det.resolvePair(ws, sc, pairs, k, true, limit); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if extremes {
-		if err := det.restoreBatchExtremes(sc, pairs); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return pairs
 }
@@ -530,7 +532,7 @@ func TestPruneRepairsDegenerateLookingRound(t *testing.T) {
 	if det.degenerate(exact.Pairs) {
 		t.Fatal("exact round is degenerate; the test needs one that is not")
 	}
-	if !det.degenerate(prunedPairs(t, cfg, series, 20, true)) {
+	if !det.degenerate(prunedPairs(t, cfg, series, 20)) {
 		t.Fatal("stored batch does not look degenerate; the round no longer exercises the repair")
 	}
 	unflagged := false
@@ -545,39 +547,14 @@ func TestPruneRepairsDegenerateLookingRound(t *testing.T) {
 	checkPruneVsExact(t, cfg, 20, exact, fast)
 }
 
-// TestPruneAnchorsOnBounds pins the extremes repair's anchor rule: in
-// this round no exactly computed pair passes its caps, but a pair
-// abandoned against the boundary-derived threshold stores a bound that
-// does, so the repair must still restore the exact batch extremes.
-func TestPruneAnchorsOnBounds(t *testing.T) {
-	cfg := DefaultConfig(lda.Constant(0.25))
-	cfg.MinMedianRSSIDBm = 0
-	cfg.AdaptiveCapKappa = 1
-	cfg.Workers = 1
-	cfg.LBPrune = true
-	series := fuzzRound(rand.New(rand.NewSource(228)), 5)
-	det, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anchor, bound := false, false
-	for _, p := range prunedPairs(t, cfg, series, 20, false) {
-		if det.passesCaps(p.Raw, p.NoiseCap) {
-			anchor = anchor || !p.Pruned
-			bound = bound || p.Pruned
-		}
-	}
-	if anchor || !bound {
-		t.Fatalf("computed anchor %v, pruned anchor %v; the round needs only a pruned one", anchor, bound)
-	}
-	exact, fast := detectBoth(t, cfg, series, 20)
-	checkPruneVsExact(t, cfg, 20, exact, fast)
-}
-
-// TestRuleLimitBoundsPassingPairs pins the soundness of the
+// TestMaxFirstBoundsPassingPairs pins the soundness of the
 // boundary-derived threshold: every pair whose exact Eq 8 distance
-// passes the boundary has a raw distance at or below T.
-func TestRuleLimitBoundsPassingPairs(t *testing.T) {
+// passes the boundary has a raw distance at or below T. It also pins
+// what T is made of — the smallest upper bound plus θ times the exact
+// batch maximum, not any looser bound on it — and the max-first pass
+// behind it: the pairs it computes hold the exact maximum, and every
+// pair it leaves has an upper bound at or below that maximum.
+func TestMaxFirstBoundsPassingPairs(t *testing.T) {
 	cfg := DefaultConfig(lda.Constant(0))
 	cfg.MinMedianRSSIDBm = 0
 	det, err := New(cfg)
@@ -594,9 +571,28 @@ func TestRuleLimitBoundsPassingPairs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			limit, err := det.ruleLimit(sc, pairs, 0)
+			_, maxE := batchExtremes(pairs)
+			floor, limit, err := det.maxFirst(sc, pairs, 0)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if want := floor + float64(theta*maxE); math.Float64bits(limit) != math.Float64bits(want) {
+				t.Fatalf("seed %d θ %v: T = %v, want minUB + θ·maxE = %v", seed, theta, limit, want)
+			}
+			doneMax := math.Inf(-1)
+			for k, p := range pairs {
+				if sc.done[k] {
+					doneMax = max(doneMax, p.Raw)
+				}
+			}
+			if doneMax != maxE {
+				t.Fatalf("seed %d θ %v: max-first computed a maximum of %v, exact maximum %v", seed, theta, doneMax, maxE)
+			}
+			for k, p := range pairs {
+				if !sc.done[k] && sc.ubs[k] > maxE {
+					t.Fatalf("seed %d θ %v: pair %d-%d left to the sweep with upper bound %v above the batch maximum %v",
+						seed, theta, p.A, p.B, sc.ubs[k], maxE)
+				}
 			}
 			norm, err := normalize(sc, pairs)
 			if err != nil {
@@ -615,5 +611,50 @@ func TestRuleLimitBoundsPassingPairs(t *testing.T) {
 	}
 	if !tight {
 		t.Error("T never fell below a raw distance; it abandons nothing")
+	}
+}
+
+// TestPruneNeverAbandonsMinUBPair pins the floor every abandon cutoff is
+// raised to: the pair with the round's smallest band-path upper bound is
+// never Pruned, however low its cap, so the batch minimum is always a
+// computed distance. The tiny fixed cap sits below every pair's
+// distance, so without the floor that pair would abandon too.
+func TestPruneNeverAbandonsMinUBPair(t *testing.T) {
+	tiny := DefaultConfig(lda.Constant(0.1))
+	tiny.MinMedianRSSIDBm = 0
+	tiny.AdaptiveCapKappa = -1
+	tiny.AbsoluteRawCap = 1e-6
+	configs := pruneConfigs()
+	configs["tiny"] = tiny
+	for name, cfg := range configs {
+		t.Run(name, func(t *testing.T) {
+			cfg.Workers = 1
+			det, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(0); seed < 12; seed++ {
+				series := fuzzRound(rand.New(rand.NewSource(700+seed)), 4+int(seed))
+				sc := roundFor(t, series)
+				pairs := prunedPairs(t, cfg, series, 20)
+				minUB, at, k := math.Inf(1), 0, 0
+				for i, a := range sc.normalized {
+					for _, b := range sc.normalized[i+1:] {
+						ub, err := dtw.BandPathUpperBound(a, b, det.cfg.BandRadius)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ub = det.perSample(ub, a, b); ub < minUB {
+							minUB, at = ub, k
+						}
+						k++
+					}
+				}
+				if pairs[at].Pruned {
+					t.Fatalf("seed %d: pair %d-%d holds the smallest upper bound %v but was abandoned at %v",
+						seed, pairs[at].A, pairs[at].B, minUB, pairs[at].Raw)
+				}
+			}
+		})
 	}
 }

@@ -9,13 +9,15 @@ import (
 // row for its minimum. The scan costs about as much as computing the row,
 // so checking every row would tax pairs that never abandon; a fixed
 // stride caps that overhead at 1/abandonStride while delaying an abandon
-// by at most abandonStride-1 rows. It is a compile-time constant so
-// abandoned bounds stay a deterministic function of the inputs.
+// by at most abandonStride-1 rows. An abandoned pair costs only the rows
+// it ran — the kernel steps the band per row — so the earliest abandon
+// costs abandonStride rows. It is a compile-time constant so abandoned
+// bounds stay a deterministic function of the inputs.
 const abandonStride = 4
 
 // BandedDistance computes DTW under a Sakoe-Chiba band of the given
-// radius, building the band in workspace scratch (no allocation) and
-// running the rolling-row banded kernel over it.
+// radius with the rolling-row banded kernel, which steps the band row by
+// row in workspace scratch (no allocation).
 func (ws *Workspace) BandedDistance(x, y []float64, radius int) (float64, error) {
 	d, _, err := ws.banded(x, y, radius, 1, math.Inf(1))
 	return d, err
@@ -44,44 +46,33 @@ func (ws *Workspace) BandedDistance(x, y []float64, radius int) (float64, error)
 // not depend on which workspace runs the pair or what that workspace ran
 // before.
 func (ws *Workspace) BandedDistanceAbandon(x, y []float64, radius int, norm, cutoff float64) (float64, bool, error) {
-	if len(x) == 0 || len(y) == 0 {
-		return 0, false, ErrEmptySeries
-	}
 	if !(norm > 0) {
 		return 0, false, fmt.Errorf("dtw: abandon norm must be positive, got %v", norm)
 	}
 	return ws.banded(x, y, radius, norm, cutoff)
 }
 
-// band builds the Sakoe-Chiba window of x against y in workspace scratch
-// and validates it.
-func (ws *Workspace) band(x, y []float64, radius int) error {
-	if len(x) == 0 || len(y) == 0 {
-		return ErrEmptySeries
-	}
-	n := len(x)
-	ws.winLo = growInt(ws.winLo, n)
-	ws.winHi = growInt(ws.winHi, n)
-	ws.win.lo, ws.win.hi = ws.winLo, ws.winHi
-	sakoeChibaFill(&ws.win, len(y), radius)
-	return ws.win.validate(n, len(y))
-}
-
 // banded is the squared-cost banded DP behind BandedDistance and
 // BandedDistanceAbandon; cutoff +Inf turns abandoning off. Inputs the
-// kernel cannot take exactly go to the windowed DP, never abandoned.
+// kernel cannot take exactly go to the windowed DP over the same band,
+// never abandoned.
 func (ws *Workspace) banded(x, y []float64, radius int, norm, cutoff float64) (float64, bool, error) {
-	if err := ws.band(x, y, radius); err != nil {
-		return 0, false, err
+	if len(x) == 0 || len(y) == 0 {
+		return 0, false, ErrEmptySeries
 	}
 	if !kernelRange(x, y) {
+		n := len(x)
+		ws.winLo = growInt(ws.winLo, n)
+		ws.winHi = growInt(ws.winHi, n)
+		ws.win.lo, ws.win.hi = ws.winLo, ws.winHi
+		bandFill(&ws.win, len(y), radius)
 		d, _, err := ws.constrained(x, y, &ws.win, false, nil)
 		return d, false, err
 	}
 	m := len(y)
 	ws.prev = growF64(ws.prev, m+1)
 	ws.cur = growF64(ws.cur, m+1)
-	d, abandoned := bandedKernel(ws.prev, ws.cur, x, y, ws.win.lo, ws.win.hi, norm, cutoff)
+	d, abandoned := bandedKernel(ws.prev, ws.cur, x, y, radius, norm, cutoff)
 	return d, abandoned, nil
 }
 
@@ -105,11 +96,13 @@ func kernelRange(x, y []float64) bool {
 	return true
 }
 
-// bandedKernel is the squared-cost Sakoe-Chiba DP over the band
-// [lo[i], hi[i]] of each row i, on two rolling rows prev and cur of
-// len(y)+1 floats indexed by column+1 (index 0 is column -1). It returns
-// the DP value of the last cell, or, when a completed row's minimum
-// normalized by norm exceeds cutoff, that minimum and true.
+// bandedKernel is the squared-cost Sakoe-Chiba DP of the given radius,
+// stepping the band one row at a time (bandRows), on two rolling rows
+// prev and cur of len(y)+1 floats indexed by column+1 (index 0 is column
+// -1). It returns the DP value of the last cell, or, when a completed
+// row's minimum normalized by norm exceeds cutoff, that minimum and
+// true. An abandoned pair costs only the rows it ran: nothing here walks
+// the whole series up front.
 //
 // Before row i it writes +Inf sentinels into the previous row where a
 // predecessor lies outside the band: column lo[i-1]-1 (no diagonal) and
@@ -125,14 +118,16 @@ func kernelRange(x, y []float64) bool {
 // exactly what the branchy comparison chain would.
 //
 // voiceprintvet:noescape
-func bandedKernel(prev, cur, x, y []float64, lo, hi []int, norm, cutoff float64) (float64, bool) {
+func bandedKernel(prev, cur, x, y []float64, radius int, norm, cutoff float64) (float64, bool) {
 	n := len(x)
 	inf := math.Inf(1)
 	checking := !math.IsInf(cutoff, 1)
-	// Row 0 is a prefix sum: lo[0] is 0, and only the left neighbour
-	// exists. Starting from +0 is exact: +0 + v is v for every v >= +0.
+	band := newBandRows(n, len(y), radius)
+	// Row 0 is a prefix sum: its band starts at column 0, and only the
+	// left neighbour exists. Starting from +0 is exact: +0 + v is v for
+	// every v >= +0.
 	x0 := x[0]
-	yr := y[:hi[0]+1]
+	yr := y[:band.hi+1]
 	row := prev[1 : len(yr)+1]
 	acc := 0.0
 	for j, yj := range yr {
@@ -141,9 +136,11 @@ func bandedKernel(prev, cur, x, y []float64, lo, hi []int, norm, cutoff float64)
 		row[j] = acc
 	}
 	for i := 1; i < n; i++ {
-		l, h := lo[i], hi[i]
-		prev[lo[i-1]] = inf
-		for j := hi[i-1] + 2; j <= h+1; j++ {
+		plo, phi := band.lo, band.hi
+		band.next()
+		l, h := band.lo, band.hi
+		prev[plo] = inf
+		for j := phi + 2; j <= h+1; j++ {
 			prev[j] = inf
 		}
 		// Column l+k's diagonal and up neighbours are dg[k] and up[k];
@@ -172,5 +169,5 @@ func bandedKernel(prev, cur, x, y []float64, lo, hi []int, norm, cutoff float64)
 		}
 		prev, cur = cur, prev
 	}
-	return prev[hi[n-1]+1], false
+	return prev[band.hi+1], false
 }

@@ -325,3 +325,51 @@ func BenchmarkBandedCell(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
 }
+
+// BenchmarkBandedAbandonEarly reports what a pair abandoned at its first
+// check costs: an 80-sample Z-scored AR(1) pair at band radius 20, with
+// a cutoff of 0 so the scan stops after row abandonStride-1. The band is
+// stepped inside the kernel, so this is abandonStride rows of work, not
+// a walk over all 80.
+func BenchmarkBandedAbandonEarly(b *testing.B) {
+	const radius = 20
+	rng := rand.New(rand.NewSource(18))
+	x, y := zAR1(rng, 80, 0.8), zAR1(rng, 80, 0.8)
+	ws := NewWorkspace()
+	if _, abandoned, err := ws.BandedDistanceAbandon(x, y, radius, 80, 0); err != nil || !abandoned {
+		b.Fatalf("pair not abandoned (err %v)", err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _, _ = ws.BandedDistanceAbandon(x, y, radius, 80, 0)
+	}
+}
+
+// benchSink keeps benchmarked results live.
+var benchSink float64
+
+// TestBandRowsMatchesSakoeChiba checks the band stepper against
+// sakoeChibaFill, the divide-per-row band it replaced, on every shape up
+// to 40 by 40 at radii -1 through 9.
+func TestBandRowsMatchesSakoeChiba(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		for m := 1; m <= 40; m++ {
+			for r := -1; r <= 9; r++ {
+				want := sakoeChiba(n, m, r)
+				if err := want.validate(n, m); err != nil {
+					t.Fatalf("n=%d m=%d r=%d: reference band invalid: %v", n, m, r, err)
+				}
+				b := newBandRows(n, m, r)
+				for i := 0; i < n; i++ {
+					if i > 0 {
+						b.next()
+					}
+					if b.lo != want.lo[i] || b.hi != want.hi[i] {
+						t.Fatalf("n=%d m=%d r=%d row %d: stepped [%d,%d], reference [%d,%d]",
+							n, m, r, i, b.lo, b.hi, want.lo[i], want.hi[i])
+					}
+				}
+			}
+		}
+	}
+}

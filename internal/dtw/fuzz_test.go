@@ -94,9 +94,10 @@ func FuzzFastDistanceBounds(f *testing.F) {
 }
 
 // FuzzBandPathUpperBound fuzzes the contracts the compare-phase
-// pruning and its extremes repair stand on: the staircase upper bound
-// never undercuts the banded distance, and the rolling-row banded
-// kernel stays bit-identical to refBanded, the kernel it replaced.
+// pruning stands on: the staircase upper bound never undercuts the
+// banded distance and returns the same bits as refUpperBound, the
+// divide-per-row bound it replaced, and the rolling-row banded kernel
+// stays bit-identical to refBanded, the kernel it replaced.
 func FuzzBandPathUpperBound(f *testing.F) {
 	f.Add([]byte{4, 1, 2, 3, 4, 250, 251, 3, 9}, 1)
 	f.Add([]byte{1, 0, 0}, 0)
@@ -128,6 +129,13 @@ func FuzzBandPathUpperBound(f *testing.F) {
 		}
 		if ub < banded {
 			t.Fatalf("upper bound %x undercuts banded %x (n=%d m=%d r=%d)", ub, banded, len(x), len(y), radius)
+		}
+		refUB, err := refUpperBound(x, y, radius)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(ub) != math.Float64bits(refUB) {
+			t.Fatalf("upper bound %x != reference %x (n=%d m=%d r=%d)", ub, refUB, len(x), len(y), radius)
 		}
 	})
 }

@@ -9,33 +9,57 @@ type window struct {
 	lo, hi []int
 }
 
-// sakoeChibaFill populates w (whose lo/hi slices are already sized to n
-// rows) with the Sakoe-Chiba band of the given radius. Workspaces use it
-// to rebuild the band in scratch without allocating.
-func sakoeChibaFill(w *window, m, radius int) {
-	if radius < 0 {
-		radius = 0
+// bandRows steps through the Sakoe-Chiba band of radius r over an
+// n-by-m matrix one row at a time: row i admits columns lo through hi,
+// the center c = i*(m-1)/(n-1) widened by r, clamped to the matrix, with
+// lo held at most one past the previous row's hi so the rows stay
+// connected when the center jumps. It is the band a window would hold,
+// without the O(n) window: the center advances by the quotient of
+// (m-1)/(n-1) plus a carried remainder, so no row divides. Every hi is
+// center+r capped at m-1, so the last row's hi is m-1 (the last center
+// is m-1) and no row needs its index.
+type bandRows struct {
+	c, rem    int // center and its remainder modulo n-1
+	q, dr, dn int // per-row center step (m-1)/(n-1) as quotient and remainder, and n-1
+	r, last   int // radius and m-1
+	lo, hi    int // the current row's columns
+}
+
+// newBandRows returns the band of x (n rows) against y (m columns) at
+// row 0, which is columns 0 through min(r, m-1), or the whole row when
+// n is 1. A negative radius is 0.
+func newBandRows(n, m, radius int) bandRows {
+	r := max(radius, 0)
+	b := bandRows{r: r, last: m - 1, hi: min(r, m-1)}
+	if n > 1 {
+		b.q, b.dr, b.dn = (m-1)/(n-1), (m-1)%(n-1), n-1
+	} else {
+		b.hi = m - 1
 	}
-	n := len(w.lo)
-	for i := 0; i < n; i++ {
-		// Project row i onto the diagonal of the (possibly non-square)
-		// matrix, then widen by the radius.
-		center := 0
-		if n > 1 {
-			center = i * (m - 1) / (n - 1)
-		}
-		lo := center - radius
-		hi := center + radius
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > m-1 {
-			hi = m - 1
-		}
-		w.lo[i] = lo
-		w.hi[i] = hi
+	return b
+}
+
+// next advances to the following row.
+func (b *bandRows) next() {
+	b.c += b.q
+	if b.rem += b.dr; b.rem >= b.dn {
+		b.rem -= b.dn
+		b.c++
 	}
-	w.makeContiguous(m)
+	b.lo = min(max(b.c-b.r, 0), b.hi+1)
+	b.hi = min(b.c+b.r, b.last)
+}
+
+// bandFill fills w (whose lo/hi slices are already sized to n rows) with
+// the Sakoe-Chiba band of radius r against m columns.
+func bandFill(w *window, m, radius int) {
+	b := newBandRows(len(w.lo), m, radius)
+	for i := range w.lo {
+		if i > 0 {
+			b.next()
+		}
+		w.lo[i], w.hi[i] = b.lo, b.hi
+	}
 }
 
 // validate checks the invariants the DP relies on.

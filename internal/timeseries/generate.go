@@ -14,9 +14,9 @@ import (
 func GenSine(n int, amplitude float64, periodSamples float64, offset, noiseStd float64, samplePeriod time.Duration, rng *rand.Rand) *Series {
 	values := make([]float64, n)
 	for i := range values {
-		values[i] = offset + amplitude*math.Sin(2*math.Pi*float64(i)/periodSamples)
+		values[i] = offset + float64(amplitude*math.Sin(2*math.Pi*float64(i)/periodSamples))
 		if noiseStd > 0 {
-			values[i] += noiseStd * rng.NormFloat64()
+			values[i] += float64(noiseStd * rng.NormFloat64())
 		}
 	}
 	return FromValues(values, samplePeriod)
@@ -30,7 +30,7 @@ func GenRandomWalk(n int, start, stepStd, lo, hi float64, samplePeriod time.Dura
 	values := make([]float64, n)
 	v := start
 	for i := range values {
-		v += stepStd * rng.NormFloat64()
+		v += float64(stepStd * rng.NormFloat64())
 		if v < lo {
 			v = lo
 		}
@@ -75,7 +75,7 @@ func Scale(s *Series, factor float64) *Series {
 	live := s.live()
 	out := &Series{buf: make([]Sample, len(live))}
 	for i, smp := range live {
-		out.buf[i] = Sample{T: smp.T, RSSI: mu + (smp.RSSI-mu)*factor}
+		out.buf[i] = Sample{T: smp.T, RSSI: mu + float64((smp.RSSI-mu)*factor)}
 	}
 	return out
 }

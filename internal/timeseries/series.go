@@ -171,6 +171,9 @@ func (s *Series) Mean() float64 {
 }
 
 // StdDev returns the population standard deviation of the series RSSI.
+// Its sigma scales every Z-scored value the detector compares, so the
+// square is written float64(d*d): no architecture may fuse it into the
+// add, and the result has the same bits everywhere.
 func (s *Series) StdDev() float64 {
 	live := s.live()
 	if len(live) == 0 {
@@ -180,7 +183,7 @@ func (s *Series) StdDev() float64 {
 	var sum float64
 	for _, smp := range live {
 		d := smp.RSSI - mu
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum / float64(len(live)))
 }
