@@ -22,7 +22,7 @@ voiceprintvet:
 # package — the same gate CI blocks on.
 vet: voiceprintvet
 	$(GO) vet ./...
-	$(GO) vet -vettool=$(CURDIR)/bin/voiceprintvet ./...
+	$(CURDIR)/bin/voiceprintvet ./...
 
 # Escape-budget gate (DESIGN.md §12): rebuild with -gcflags=-m=2 and
 # fail if any voiceprintvet:noescape function contains a heap

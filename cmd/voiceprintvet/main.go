@@ -1,15 +1,15 @@
 // Command voiceprintvet is the repository's invariant multichecker: a
-// `go vet -vettool` compatible analysis driver enforcing the guarantees
-// the Voiceprint reproduction depends on — deterministic detection
-// output, NaN/Inf safety at every RSSI boundary, the zero-alloc
-// observer hot path, a drift-proof telemetry surface, and no internal
-// use of deprecated compatibility fields.
+// standalone analysis driver enforcing the guarantees the Voiceprint
+// reproduction depends on — deterministic detection output, NaN/Inf
+// safety at every RSSI boundary, the zero-alloc observer hot path, no
+// internal use of deprecated compatibility fields, mutex contracts, and
+// goroutine hygiene. It complements `go vet ./...`, whose copylocks
+// check covers copies of mutex-holding structs.
 //
 // Usage:
 //
 //	go build -o bin/voiceprintvet ./cmd/voiceprintvet
-//	go vet -vettool=bin/voiceprintvet ./...   # full modular analysis
-//	bin/voiceprintvet ./...                   # standalone, non-test files
+//	bin/voiceprintvet ./...                   # analyzers, non-test files
 //	bin/voiceprintvet escape ./...            # noescape budget gate (-m=2)
 //	bin/voiceprintvet help                    # list analyzers
 //
@@ -28,7 +28,6 @@ import (
 	"voiceprint/internal/analysis/escapebudget"
 	"voiceprint/internal/analysis/goroutinehygiene"
 	"voiceprint/internal/analysis/lockdiscipline"
-	"voiceprint/internal/analysis/metricnames"
 	"voiceprint/internal/analysis/nondeterminism"
 	"voiceprint/internal/analysis/nonfinite"
 	"voiceprint/internal/analysis/observerguard"
@@ -36,9 +35,8 @@ import (
 )
 
 func main() {
-	// The escape gate cannot run under the unitchecker protocol (go vet
-	// never forwards -m diagnostics to vettools), so it dispatches
-	// before the protocol handshake.
+	// The escape gate reads the compiler's -m=2 output rather than
+	// type-checked syntax, so it is a subcommand of its own.
 	if len(os.Args) > 1 && os.Args[1] == "escape" {
 		os.Exit(escapebudget.Main(os.Args[2:]))
 	}
@@ -46,7 +44,6 @@ func main() {
 		nondeterminism.Analyzer,
 		nonfinite.Analyzer,
 		observerguard.Analyzer,
-		metricnames.Analyzer,
 		deprecated.Analyzer,
 		lockdiscipline.Analyzer,
 		goroutinehygiene.Analyzer,

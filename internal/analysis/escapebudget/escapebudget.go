@@ -24,9 +24,9 @@
 // leak; no per-round allocation results, so the budget ignores it. See
 // DESIGN.md §12.
 //
-// Unlike the vet analyzers, escapebudget cannot run inside the
-// unitchecker protocol (go vet never passes -m output to vettools), so
-// it is a standalone subcommand of the same binary:
+// Unlike the vet analyzers, escapebudget reads the compiler's -m=2
+// output rather than type-checked syntax, so it is a subcommand of its
+// own in the same binary:
 //
 //	voiceprintvet escape ./...
 //

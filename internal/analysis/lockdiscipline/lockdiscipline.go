@@ -20,9 +20,9 @@
 // matching holds precondition, whose call sites are checked the same
 // way. On top of the guarded-field check the analyzer reports lock-
 // upgrade deadlocks (Lock while RLock is held), defers that lock
-// instead of unlocking, functions that lock a mutex and never release
-// it on any path, and copies of annotated locker structs (value
-// receivers, value parameters, dereference assignments).
+// instead of unlocking, and functions that lock a mutex and never
+// release it on any path. Copies of a struct that holds a mutex are
+// go vet's copylocks check, not this one.
 //
 // Accesses through a variable freshly allocated in the same function
 // (&T{...}, T{}, new(T), var t T) are exempt: the object cannot be
@@ -32,10 +32,10 @@
 // lock inside the literal or call a holds-annotated helper from a
 // context that provably holds it.
 //
-// Annotations are exported as package facts, so accesses to an
-// imported struct's exported guarded fields and calls to exported
-// holds-annotated methods are enforced across package (and, under
-// go vet, process) boundaries.
+// Each package is checked on its own, so an annotation is enforced only
+// inside the package that declares it. The analyzer therefore reports a
+// guardedby on an exported field and a holds on an exported method:
+// another package could reach either without any check.
 package lockdiscipline
 
 import (
@@ -47,17 +47,6 @@ import (
 	"voiceprint/internal/analysis/vet"
 )
 
-// Facts is the package fact document: the annotation surface of one
-// package, keyed by syntax ("Type.Field", "Type.Method") because
-// dependents see only export data, not this package's objects.
-type Facts struct {
-	// Guarded maps "Type.Field" to the guarding mutex field name.
-	Guarded map[string]string `json:"guarded,omitempty"`
-	// Holds maps "Type.Method" to the receiver mutex fields the caller
-	// must hold.
-	Holds map[string][]string `json:"holds,omitempty"`
-}
-
 // Analyzer is the lock-discipline checker.
 var Analyzer = &vet.Analyzer{
 	Name: "lockdiscipline",
@@ -65,7 +54,7 @@ var Analyzer = &vet.Analyzer{
 		"Fields annotated `voiceprintvet:guardedby mu` may only be accessed under " +
 		"a dominating mu.Lock/RLock or inside a `voiceprintvet:holds mu` function; " +
 		"writes need the write lock. Also reports RLock-to-Lock upgrades, defer'd " +
-		"Lock, Lock without any unlock, and copies of annotated locker structs.",
+		"Lock, Lock without any unlock, and annotations on exported names.",
 	Run: run,
 }
 
@@ -97,33 +86,21 @@ type analysis struct {
 	guarded map[types.Object]string
 	// holds maps in-package functions to their required mutex fields.
 	holds map[*types.Func][]string
-	// lockerTypes are the in-package named structs carrying any
-	// guardedby annotation — the copy-of-locker set.
-	lockerTypes map[*types.Named]bool
-	// factsCache memoizes imported packages' fact documents.
-	factsCache map[string]*Facts
 }
 
 func run(pass *vet.Pass) error {
 	a := &analysis{
-		pass:        pass,
-		guarded:     make(map[types.Object]string),
-		holds:       make(map[*types.Func][]string),
-		lockerTypes: make(map[*types.Named]bool),
-		factsCache:  make(map[string]*Facts),
+		pass:    pass,
+		guarded: make(map[types.Object]string),
+		holds:   make(map[*types.Func][]string),
 	}
-	facts := Facts{Guarded: map[string]string{}, Holds: map[string][]string{}}
-	a.collectAnnotations(&facts)
-	if err := pass.ExportFact(&facts); err != nil {
-		return err
-	}
+	a.collectAnnotations()
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			a.checkCopies(fd)
 			a.checkPairing(fd.Name.Name, fd.Body)
 			a.block(fd.Body.List, a.initialState(fd), a.freshLocals(fd.Body))
 		}
@@ -156,7 +133,7 @@ func directiveArg(groups []*ast.CommentGroup, directive string) string {
 	return ""
 }
 
-func (a *analysis) collectAnnotations(facts *Facts) {
+func (a *analysis) collectAnnotations() {
 	for _, f := range a.pass.Files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
@@ -170,19 +147,19 @@ func (a *analysis) collectAnnotations(facts *Facts) {
 					if !ok {
 						continue
 					}
-					a.collectStruct(ts, st, facts)
+					a.collectStruct(ts, st)
 				}
 			case *ast.FuncDecl:
 				arg := directiveArg([]*ast.CommentGroup{d.Doc}, holdsDirective)
 				if arg != "" {
-					a.collectHolds(d, arg, facts)
+					a.collectHolds(d, arg)
 				}
 			}
 		}
 	}
 }
 
-func (a *analysis) collectStruct(ts *ast.TypeSpec, st *ast.StructType, facts *Facts) {
+func (a *analysis) collectStruct(ts *ast.TypeSpec, st *ast.StructType) {
 	info := a.pass.TypesInfo
 	mutexFields := make(map[string]bool)
 	for _, field := range st.Fields.List {
@@ -214,18 +191,15 @@ func (a *analysis) collectStruct(ts *ast.TypeSpec, st *ast.StructType, facts *Fa
 				a.pass.Reportf(field.Pos(), "voiceprintvet:guardedby on mutex field %s: a mutex does not guard itself", name.Name)
 				continue
 			}
-			a.guarded[obj] = arg
-			facts.Guarded[ts.Name.Name+"."+name.Name] = arg
-		}
-		if tn, ok := info.Defs[ts.Name].(*types.TypeName); ok {
-			if named, ok := tn.Type().(*types.Named); ok {
-				a.lockerTypes[named] = true
+			if name.IsExported() {
+				a.pass.Reportf(field.Pos(), "voiceprintvet:guardedby on exported field %s.%s: other packages could access it unchecked; unexport it", ts.Name.Name, name.Name)
 			}
+			a.guarded[obj] = arg
 		}
 	}
 }
 
-func (a *analysis) collectHolds(d *ast.FuncDecl, arg string, facts *Facts) {
+func (a *analysis) collectHolds(d *ast.FuncDecl, arg string) {
 	fn, _ := a.pass.TypesInfo.Defs[d.Name].(*types.Func)
 	if fn == nil {
 		return
@@ -239,6 +213,9 @@ func (a *analysis) collectHolds(d *ast.FuncDecl, arg string, facts *Facts) {
 	if recvType == nil {
 		a.pass.Reportf(d.Pos(), "voiceprintvet:holds on %s: receiver is not a named struct", d.Name.Name)
 		return
+	}
+	if fn.Exported() {
+		a.pass.Reportf(d.Pos(), "voiceprintvet:holds on exported method %s.%s: other packages could call it unchecked; unexport it", recvType.Obj().Name(), fn.Name())
 	}
 	var mus []string
 	for _, mu := range strings.Split(arg, ",") {
@@ -256,105 +233,6 @@ func (a *analysis) collectHolds(d *ast.FuncDecl, arg string, facts *Facts) {
 		return
 	}
 	a.holds[fn] = mus
-	facts.Holds[recvType.Obj().Name()+"."+fn.Name()] = mus
-}
-
-// ---- fact lookup for imported packages ----
-
-func (a *analysis) importedFacts(pkg *types.Package) *Facts {
-	if pkg == nil || pkg == a.pass.Pkg {
-		return nil
-	}
-	path := pkg.Path()
-	if f, ok := a.factsCache[path]; ok {
-		return f
-	}
-	var f Facts
-	ok, err := a.pass.ImportFact(path, &f)
-	if err != nil || !ok {
-		a.factsCache[path] = nil
-		return nil
-	}
-	a.factsCache[path] = &f
-	return &f
-}
-
-// guardOf resolves the mutex guarding the field accessed by sel, or "".
-func (a *analysis) guardOf(sel *ast.SelectorExpr) string {
-	obj := a.pass.TypesInfo.ObjectOf(sel.Sel)
-	v, ok := obj.(*types.Var)
-	if !ok || !v.IsField() {
-		return ""
-	}
-	if mu, ok := a.guarded[v]; ok {
-		return mu
-	}
-	if v.Pkg() == nil || v.Pkg() == a.pass.Pkg {
-		return ""
-	}
-	facts := a.importedFacts(v.Pkg())
-	if facts == nil {
-		return ""
-	}
-	named := baseNamed(a.pass.TypesInfo.TypeOf(sel.X))
-	if named == nil {
-		return ""
-	}
-	return facts.Guarded[named.Obj().Name()+"."+v.Name()]
-}
-
-// holdsOf resolves a callee's holds precondition, or nil.
-func (a *analysis) holdsOf(fn *types.Func) []string {
-	if mus, ok := a.holds[fn]; ok {
-		return mus
-	}
-	if fn.Pkg() == nil || fn.Pkg() == a.pass.Pkg {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	recv := sig.Recv()
-	named := baseNamed(recv.Type())
-	if named == nil {
-		return nil
-	}
-	facts := a.importedFacts(fn.Pkg())
-	if facts == nil {
-		return nil
-	}
-	return facts.Holds[named.Obj().Name()+"."+fn.Name()]
-}
-
-// isLockerType reports whether t is an annotated locker struct value
-// type (a *T value does not copy T, so pointers don't count).
-func (a *analysis) isLockerType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	named, _ := t.(*types.Named)
-	if named == nil {
-		return false
-	}
-	if a.lockerTypes[named] {
-		return true
-	}
-	pkg := named.Obj().Pkg()
-	if pkg == nil || pkg == a.pass.Pkg {
-		return false
-	}
-	facts := a.importedFacts(pkg)
-	if facts == nil {
-		return false
-	}
-	prefix := named.Obj().Name() + "."
-	for k := range facts.Guarded {
-		if strings.HasPrefix(k, prefix) {
-			return true
-		}
-	}
-	return false
 }
 
 // ---- per-function lock-state analysis ----
@@ -434,17 +312,17 @@ func (a *analysis) freshLocals(body *ast.BlockStmt) map[types.Object]bool {
 // isFreshExpr reports whether e evaluates to a freshly allocated value:
 // a composite literal, its address, or new(T).
 func isFreshExpr(info *types.Info, e ast.Expr) bool {
-	switch e := unparen(e).(type) {
+	switch e := vet.Unparen(e).(type) {
 	case *ast.CompositeLit:
 		return true
 	case *ast.UnaryExpr:
 		if e.Op != token.AND {
 			return false
 		}
-		_, ok := unparen(e.X).(*ast.CompositeLit)
+		_, ok := vet.Unparen(e.X).(*ast.CompositeLit)
 		return ok
 	case *ast.CallExpr:
-		id, ok := unparen(e.Fun).(*ast.Ident)
+		id, ok := vet.Unparen(e.Fun).(*ast.Ident)
 		if !ok || id.Name != "new" {
 			return false
 		}
@@ -593,7 +471,7 @@ func (a *analysis) checkNode(root ast.Node, st map[lockKey]lockMode, fresh map[t
 
 // checkGuardedAccess judges one field selector against the lock state.
 func (a *analysis) checkGuardedAccess(sel *ast.SelectorExpr, stack []ast.Node, st map[lockKey]lockMode, fresh map[types.Object]bool) {
-	mu := a.guardOf(sel)
+	mu := a.guarded[a.pass.TypesInfo.ObjectOf(sel.Sel)]
 	if mu == "" {
 		return
 	}
@@ -622,15 +500,15 @@ func (a *analysis) checkGuardedAccess(sel *ast.SelectorExpr, stack []ast.Node, s
 // checkHoldsCall enforces a callee's holds precondition at its call
 // site.
 func (a *analysis) checkHoldsCall(call *ast.CallExpr, st map[lockKey]lockMode, fresh map[types.Object]bool) {
-	fn := calleeFunc(a.pass.TypesInfo, call)
+	fn := vet.CalleeFunc(a.pass.TypesInfo, call)
 	if fn == nil {
 		return
 	}
-	mus := a.holdsOf(fn)
+	mus := a.holds[fn]
 	if len(mus) == 0 {
 		return
 	}
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := vet.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		a.pass.Reportf(call.Pos(), "call to %s through a method value: its voiceprintvet:holds %s precondition cannot be verified", fn.Name(), strings.Join(mus, ","))
 		return
@@ -766,7 +644,7 @@ func isTerminator(s ast.Stmt) bool {
 		return s.Tok == token.GOTO
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+			if id, ok := vet.Unparen(call.Fun).(*ast.Ident); ok {
 				return id.Name == "panic"
 			}
 		}
@@ -826,53 +704,6 @@ func (a *analysis) checkPairing(name string, body *ast.BlockStmt) {
 	}
 }
 
-// ---- copy-of-locker ----
-
-// checkCopies flags copies of annotated locker structs: value
-// receivers, value parameters, and dereference assignments. The copy
-// carries a copied mutex guarding stale state.
-func (a *analysis) checkCopies(fd *ast.FuncDecl) {
-	info := a.pass.TypesInfo
-	checkFields := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			if t := info.TypeOf(field.Type); a.isLockerType(t) {
-				a.pass.Reportf(field.Pos(), "%s of %s copies its mutex and the fields it guards; use a pointer", what, typeName(t))
-			}
-		}
-	}
-	checkFields(fd.Recv, "value receiver")
-	checkFields(fd.Type.Params, "value parameter")
-	// Dereference copies in the body: `cp := *mon`, `x = *mon`,
-	// `return *mon`, `var v = *mon`. Only value positions copy — (*p).f
-	// and &*p do not — so the check is anchored at those statements
-	// rather than at every StarExpr.
-	checkValues := func(exprs []ast.Expr) {
-		for _, e := range exprs {
-			star, ok := unparen(e).(*ast.StarExpr)
-			if !ok {
-				continue
-			}
-			if t := info.TypeOf(star); a.isLockerType(t) {
-				a.pass.Reportf(star.Pos(), "dereference copies %s, its mutex, and the fields it guards; keep the pointer", typeName(t))
-			}
-		}
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			checkValues(n.Rhs)
-		case *ast.ReturnStmt:
-			checkValues(n.Results)
-		case *ast.ValueSpec:
-			checkValues(n.Values)
-		}
-		return true
-	})
-}
-
 // ---- helpers ----
 
 func copyState(st map[lockKey]lockMode) map[lockKey]lockMode {
@@ -887,7 +718,7 @@ func copyState(st map[lockKey]lockMode) map[lockKey]lockMode {
 // sync.Mutex/RWMutex Lock/RLock/Unlock/RUnlock method on a keyable
 // expression.
 func lockCall(info *types.Info, call *ast.CallExpr) (string, lockKey, bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := vet.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", lockKey{}, false
 	}
@@ -909,7 +740,7 @@ func lockCall(info *types.Info, call *ast.CallExpr) (string, lockKey, bool) {
 
 // keyOf resolves an expression to a (root object, selector path) key.
 func keyOf(info *types.Info, e ast.Expr) (lockKey, bool) {
-	switch e := unparen(e).(type) {
+	switch e := vet.Unparen(e).(type) {
 	case *ast.Ident:
 		obj := info.ObjectOf(e)
 		if obj == nil {
@@ -944,7 +775,7 @@ func keyString(k lockKey) string {
 
 // exprString renders a selector chain for diagnostics.
 func exprString(e ast.Expr) string {
-	switch e := unparen(e).(type) {
+	switch e := vet.Unparen(e).(type) {
 	case *ast.Ident:
 		return e.Name
 	case *ast.SelectorExpr:
@@ -997,7 +828,7 @@ func isWriteAccess(sel *ast.SelectorExpr, stack []ast.Node, info *types.Info) bo
 		case *ast.UnaryExpr:
 			return p.Op == token.AND && p.X == cur
 		case *ast.CallExpr:
-			id, ok := unparen(p.Fun).(*ast.Ident)
+			id, ok := vet.Unparen(p.Fun).(*ast.Ident)
 			if !ok {
 				return false
 			}
@@ -1010,29 +841,6 @@ func isWriteAccess(sel *ast.SelectorExpr, stack []ast.Node, info *types.Info) bo
 		}
 	}
 	return false
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// calleeFunc resolves the static callee of a call, or nil.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.ObjectOf(fun).(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.ObjectOf(fun.Sel).(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 func isMutexType(t types.Type) bool {
@@ -1063,11 +871,4 @@ func structHasMutexField(named *types.Named, name string) bool {
 		}
 	}
 	return false
-}
-
-func typeName(t types.Type) string {
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return t.String()
 }

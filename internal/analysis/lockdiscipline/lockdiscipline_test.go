@@ -10,29 +10,3 @@ import (
 func TestLockDiscipline(t *testing.T) {
 	vettest.Run(t, lockdiscipline.Analyzer, "testdata/src/fixture", "voiceprint/internal/fixture")
 }
-
-// TestCrossPackageFacts pins the fact transport end to end: the dep
-// fixture's guardedby/holds annotations must reach the importing
-// fixture both through the shared in-memory store (the standalone
-// driver's path) and through a vetx encode/decode round trip (the
-// go vet unitchecker's path, where facts cross a process boundary as
-// serialized files).
-func TestCrossPackageFacts(t *testing.T) {
-	modes := []struct {
-		name    string
-		viaVetx bool
-	}{
-		{"standalone-inmemory", false},
-		{"unitchecker-vetx", true},
-	}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
-			vettest.RunOpts(t, lockdiscipline.Analyzer,
-				"testdata/src/crossfact/use", "voiceprint/fixture/use",
-				vettest.Options{
-					Deps:    []vettest.Dep{{Dir: "testdata/src/crossfact/dep", Path: "voiceprint/fixture/dep"}},
-					ViaVetx: mode.viaVetx,
-				})
-		})
-	}
-}

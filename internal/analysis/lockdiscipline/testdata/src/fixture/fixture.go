@@ -1,6 +1,6 @@
 // Fixture for the lockdiscipline analyzer: guardedby/holds enforcement,
 // upgrade and pairing bugs, fresh-object and closure semantics, and
-// annotation validation.
+// annotation validation, including annotations on exported names.
 package fixture
 
 import "sync"
@@ -157,15 +157,16 @@ func (t *Table) Flaky(k string) int {
 	return t.rows[k] // want "t\\.rows is guarded by t\\.mu, which is not held here"
 }
 
-// Bad: a value parameter copies the mutex and the state it guards.
-func Consume(c Counter) { // want "value parameter of Counter copies its mutex"
-	_ = c
+// Bad: annotations on exported names could be bypassed from another
+// package, where no check runs.
+type Exposed struct {
+	mu    sync.Mutex
+	Total int // voiceprintvet:guardedby mu // want "guardedby on exported field Exposed\\.Total"
 }
 
-// Bad: dereference-assignment copies the locker.
-func Clone(c *Counter) {
-	cp := *c // want "dereference copies Counter"
-	_ = cp
+// voiceprintvet:holds mu
+func (c *Counter) Bump() { // want "holds on exported method Counter\\.Bump"
+	c.n++
 }
 
 type badTarget struct {

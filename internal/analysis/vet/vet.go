@@ -1,7 +1,8 @@
 // Package vet is a dependency-free miniature of golang.org/x/tools'
-// go/analysis framework: an Analyzer/Pass/Diagnostic vocabulary, a
-// driver that speaks the `go vet -vettool` unitchecker protocol, and a
-// standalone loader built on `go list -export`. The build environment
+// go/analysis framework: an Analyzer/Pass/Diagnostic vocabulary and one
+// standalone driver whose loader is built on `go list -export`. The
+// driver analyzes each package of the module on its own: no analyzer
+// carries facts from one package to another. The build environment
 // for this repository is hermetic (no module proxy), so the framework
 // re-implements — against the standard library only — exactly the
 // subset the voiceprintvet analyzers need; the API shapes mirror
@@ -33,7 +34,6 @@ type Analyzer struct {
 	// Doc is the one-paragraph description shown by `voiceprintvet help`.
 	Doc string
 	// AppliesTo filters packages by import path; nil runs everywhere.
-	// Test variants ("pkg [pkg.test]") are normalized before the call.
 	AppliesTo func(pkgPath string) bool
 	// Run reports findings on one package via pass.Reportf.
 	Run func(pass *Pass) error
@@ -47,7 +47,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	store *FactStore
 	diags []Diagnostic
 }
 
@@ -60,45 +59,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ExportFact records value as this analyzer's package fact for the
-// package under analysis; dependent packages read it back with
-// ImportFact. The driver carries it across package (and, under go vet,
-// process) boundaries — see FactStore.
-func (p *Pass) ExportFact(value any) error {
-	return p.store.Export(NormalizePath(p.Pkg.Path()), p.Analyzer.Name, value)
-}
-
-// ImportFact decodes this analyzer's package fact for an imported
-// package into out, reporting whether one was present. Facts exist only
-// for packages of this module that the driver has already analyzed —
-// standard-library imports never have any.
-func (p *Pass) ImportFact(pkgPath string, out any) (bool, error) {
-	return p.store.Import(NormalizePath(pkgPath), p.Analyzer.Name, out)
-}
-
 // Unit is one loaded, type-checked compilation unit.
 type Unit struct {
-	// Path is the import path as reported by the build system; test
-	// variants keep their " [pkg.test]" suffix.
+	// Path is the package's import path.
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// FactsOnly marks a module package loaded only as a dependency of
-	// the requested patterns: analyze it for the facts its dependents
-	// need, but do not report its diagnostics.
-	FactsOnly bool
-}
-
-// NormalizePath strips the test-variant suffix from an import path:
-// "voiceprint/internal/core [voiceprint/internal/core.test]" becomes
-// "voiceprint/internal/core".
-func NormalizePath(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		return path[:i]
-	}
-	return path
 }
 
 // NewInfo returns a types.Info with every map the analyzers consume.
@@ -117,19 +85,14 @@ func NewInfo() *types.Info {
 // diagnostics in position order: AppliesTo filtering, _test.go
 // filtering (test files exercise deprecated fields and seeded
 // nondeterminism on purpose), and //voiceprintvet:ignore suppression
-// all happen here so every driver — go vet, standalone, tests —
-// behaves identically. store carries cross-package facts; nil gets a
-// private throwaway store (no facts in, none kept).
-func Run(u *Unit, analyzers []*Analyzer, store *FactStore) ([]Diagnostic, error) {
-	if store == nil {
-		store = NewFactStore()
-	}
-	pkgPath := NormalizePath(u.Path)
+// all happen here so the driver and the fixture tests behave
+// identically.
+func Run(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 	ignores, badDirectives := collectIgnores(u.Fset, u.Files)
 	var out []Diagnostic
 	out = append(out, badDirectives...)
 	for _, a := range analyzers {
-		if a.AppliesTo != nil && !a.AppliesTo(pkgPath) {
+		if a.AppliesTo != nil && !a.AppliesTo(u.Path) {
 			continue
 		}
 		pass := &Pass{
@@ -138,10 +101,9 @@ func Run(u *Unit, analyzers []*Analyzer, store *FactStore) ([]Diagnostic, error)
 			Files:     u.Files,
 			Pkg:       u.Pkg,
 			TypesInfo: u.Info,
-			store:     store,
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkgPath, err)
+			return nil, fmt.Errorf("%s: %s: %w", a.Name, u.Path, err)
 		}
 		for _, d := range pass.diags {
 			posn := u.Fset.Position(d.Pos)

@@ -15,16 +15,6 @@
 // -export` — under a caller-chosen package path, so a fixture can pose
 // as a detection-path package (the analyzers discriminate by import
 // path) without living at it.
-//
-// A fixture may declare dependency packages (Options.Deps): directories
-// type-checked under their own synthetic import paths before the main
-// fixture, in order, against the same fact store. The main fixture can
-// then import them, which exercises cross-package fact flow — the same
-// path the standalone driver takes. Options.ViaVetx additionally
-// round-trips each dependency's facts through the vetx wire format into
-// a fresh store before the main fixture runs, simulating the process
-// boundary of `go vet -vettool` unitchecker mode, where facts travel
-// between compilation units only as serialized vetx files.
 package vettest
 
 import (
@@ -43,26 +33,6 @@ import (
 	"voiceprint/internal/analysis/vet"
 )
 
-// Dep is one dependency fixture package, type-checked under Path before
-// the main fixture so its exported API is importable and its facts are
-// in the store.
-type Dep struct {
-	Dir  string
-	Path string
-}
-
-// Options configures a fixture run.
-type Options struct {
-	// Deps are checked and analyzed in order before the main fixture.
-	// Their own `// want` expectations are honored too.
-	Deps []Dep
-	// ViaVetx serializes every dependency's facts through the vetx wire
-	// format into a fresh store before the main fixture is analyzed —
-	// the unitchecker transport. Off, deps and fixture share one
-	// in-memory store — the standalone transport.
-	ViaVetx bool
-}
-
 // wantRe extracts the `// want ...` tail of an expectation comment.
 var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
@@ -77,18 +47,12 @@ type expectation struct {
 
 // Run parses and type-checks the fixture directory as a package with
 // import path asPath, applies the analyzer through the same vet.Run
-// entry point every real driver uses (so AppliesTo filtering and
+// entry point the driver uses (so AppliesTo filtering and
 // //voiceprintvet:ignore suppression behave identically), and asserts
 // the diagnostics are exactly the fixture's `// want` expectations.
 func Run(t *testing.T, a *vet.Analyzer, dir, asPath string) {
 	t.Helper()
-	RunOpts(t, a, dir, asPath, Options{})
-}
-
-// RunOpts is Run with dependency packages and fact-transport control.
-func RunOpts(t *testing.T, a *vet.Analyzer, dir, asPath string, opts Options) {
-	t.Helper()
-	diags, fset, exps := run(t, a, dir, asPath, opts)
+	diags, fset, exps := run(t, a, dir, asPath)
 
 	for _, d := range diags {
 		posn := fset.Position(d.Pos)
@@ -111,7 +75,7 @@ func RunOpts(t *testing.T, a *vet.Analyzer, dir, asPath string, opts Options) {
 // out-of-scope import path must come back clean.
 func RunExpectClean(t *testing.T, a *vet.Analyzer, dir, asPath string) {
 	t.Helper()
-	diags, fset, _ := run(t, a, dir, asPath, Options{})
+	diags, fset, _ := run(t, a, dir, asPath)
 	for _, d := range diags {
 		posn := fset.Position(d.Pos)
 		t.Errorf("%s:%d: diagnostic on out-of-scope package %s: [%s] %s",
@@ -119,121 +83,56 @@ func RunExpectClean(t *testing.T, a *vet.Analyzer, dir, asPath string) {
 	}
 }
 
-// parsedPkg is one fixture directory parsed into a file set.
-type parsedPkg struct {
-	path    string
-	files   []*ast.File
-	imports map[string]bool
-}
-
-func run(t *testing.T, a *vet.Analyzer, dir, asPath string, opts Options) ([]vet.Diagnostic, *token.FileSet, []*expectation) {
-	t.Helper()
-	fset := token.NewFileSet()
-	var (
-		exps    []*expectation
-		pkgs    []*parsedPkg
-		imports = make(map[string]bool)
-	)
-	for _, d := range opts.Deps {
-		pkgs = append(pkgs, parseDir(t, fset, d.Dir, d.Path, imports, &exps))
-	}
-	pkgs = append(pkgs, parseDir(t, fset, dir, asPath, imports, &exps))
-
-	// Synthetic fixture paths are satisfied from the checked packages
-	// below; everything else comes from compiler export data.
-	synthetic := make(map[string]*types.Package)
-	var paths []string
-	for p := range imports {
-		if _, ok := synthetic[p]; ok {
-			continue
-		}
-		isDep := false
-		for _, d := range opts.Deps {
-			if d.Path == p {
-				isDep = true
-			}
-		}
-		if !isDep {
-			paths = append(paths, p)
-		}
-	}
-	sort.Strings(paths)
-	exporters, err := vet.NewDepsImporter(fset, paths)
-	if err != nil {
-		t.Fatalf("load fixture imports: %v", err)
-	}
-	conf := &types.Config{
-		Importer: importerFunc(func(path string) (*types.Package, error) {
-			if pkg := synthetic[path]; pkg != nil {
-				return pkg, nil
-			}
-			return exporters.Import(path)
-		}),
-		Sizes: types.SizesFor("gc", build.Default.GOARCH),
-	}
-
-	store := vet.NewFactStore()
-	var diags []vet.Diagnostic
-	for i, p := range pkgs {
-		info := vet.NewInfo()
-		pkg, err := conf.Check(p.path, fset, p.files, info)
-		if err != nil {
-			t.Fatalf("typecheck fixture %s: %v", p.path, err)
-		}
-		synthetic[p.path] = pkg
-		last := i == len(pkgs)-1
-		if last && opts.ViaVetx {
-			// Unitchecker transport: the main fixture's store is rebuilt
-			// from each dependency's serialized vetx document only.
-			wire := vet.NewFactStore()
-			for _, d := range opts.Deps {
-				b, err := store.EncodeVetx(d.Path)
-				if err != nil {
-					t.Fatalf("encode vetx for %s: %v", d.Path, err)
-				}
-				if err := wire.DecodeVetx(d.Path, b); err != nil {
-					t.Fatalf("decode vetx for %s: %v", d.Path, err)
-				}
-			}
-			store = wire
-		}
-		ds, err := vet.Run(&vet.Unit{Path: p.path, Fset: fset, Files: p.files, Pkg: pkg, Info: info}, []*vet.Analyzer{a}, store)
-		if err != nil {
-			t.Fatalf("run analyzer on %s: %v", p.path, err)
-		}
-		diags = append(diags, ds...)
-	}
-	return diags, fset, exps
-}
-
-// parseDir parses one fixture directory's files, accumulating imports
-// and `// want` expectations.
-func parseDir(t *testing.T, fset *token.FileSet, dir, asPath string, imports map[string]bool, exps *[]*expectation) *parsedPkg {
+func run(t *testing.T, a *vet.Analyzer, dir, asPath string) ([]vet.Diagnostic, *token.FileSet, []*expectation) {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil || len(names) == 0 {
 		t.Fatalf("no fixture files in %s (%v)", dir, err)
 	}
 	sort.Strings(names)
-	p := &parsedPkg{path: asPath, imports: make(map[string]bool)}
+	fset := token.NewFileSet()
+	var (
+		files   []*ast.File
+		exps    []*expectation
+		imports = make(map[string]bool)
+	)
 	for _, name := range names {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
 			t.Fatalf("parse fixture: %v", err)
 		}
-		p.files = append(p.files, f)
+		files = append(files, f)
 		for _, imp := range f.Imports {
 			path, _ := strconv.Unquote(imp.Path.Value)
 			imports[path] = true
 		}
-		*exps = append(*exps, collectWants(t, fset, f)...)
+		exps = append(exps, collectWants(t, fset, f)...)
 	}
-	return p
+
+	paths := make([]string, 0, len(imports))
+	for p := range imports {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	imp, err := vet.NewDepsImporter(fset, paths)
+	if err != nil {
+		t.Fatalf("load fixture imports: %v", err)
+	}
+	conf := &types.Config{
+		Importer: imp,
+		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
+	}
+	info := vet.NewInfo()
+	pkg, err := conf.Check(asPath, fset, files, info)
+	if err != nil {
+		t.Fatalf("typecheck fixture %s: %v", asPath, err)
+	}
+	diags, err := vet.Run(&vet.Unit{Path: asPath, Fset: fset, Files: files, Pkg: pkg, Info: info}, []*vet.Analyzer{a})
+	if err != nil {
+		t.Fatalf("run analyzer on %s: %v", asPath, err)
+	}
+	return diags, fset, exps
 }
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // collectWants parses the `// want "re" "re"...` expectations out of one
 // file's comments.

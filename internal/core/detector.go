@@ -49,10 +49,6 @@ type Config struct {
 	// sensitivity fringe) carry too little shape to compare. Zero means 30
 	// (three seconds of beacons).
 	MinSamples int
-	// FastDTWRadius is the FastDTW search radius; zero means 4, which is
-	// empirically exact on same-transmitter series (see internal/dtw
-	// tests).
-	FastDTWRadius int
 	// BandRadius constrains the DTW search to a Sakoe-Chiba band of this
 	// many samples around the (resampled) diagonal. RSSI series are
 	// synchronized in absolute time — two identities of one radio emit at
@@ -141,7 +137,6 @@ func DefaultConfig(boundary lda.Boundary) Config {
 		Boundary:         boundary,
 		ObservationTime:  20 * time.Second,
 		MinSamples:       30,
-		FastDTWRadius:    4,
 		BandRadius:       20,
 		MinMedianRSSIDBm: -80,
 		AdaptiveCapKappa: 1.5,
@@ -152,9 +147,6 @@ func DefaultConfig(boundary lda.Boundary) Config {
 func (c Config) Validate() error {
 	if c.MinSamples < 0 {
 		return errors.New("core: MinSamples must be non-negative")
-	}
-	if c.FastDTWRadius < 0 {
-		return errors.New("core: FastDTWRadius must be non-negative")
 	}
 	if c.ObservationTime < 0 {
 		return errors.New("core: ObservationTime must be non-negative")
@@ -205,9 +197,6 @@ func New(cfg Config) (*Detector, error) {
 	}
 	if cfg.MinSamples == 0 {
 		cfg.MinSamples = 30
-	}
-	if cfg.FastDTWRadius == 0 {
-		cfg.FastDTWRadius = 4
 	}
 	if cfg.BandRadius == 0 {
 		cfg.BandRadius = 20
@@ -812,6 +801,11 @@ func (d *Detector) normDiv(a, b []float64) float64 {
 	return float64(n)
 }
 
+// fastDTWRadius is the FastDTW search radius of the unconstrained
+// ablation (BandRadius < 0); 4 is empirically exact on same-transmitter
+// series (see internal/dtw tests).
+const fastDTWRadius = 4
+
 // compare measures one pair: banded DTW by default, unconstrained
 // FastDTW when BandRadius < 0. The arena slices it hands the workspace
 // are reported by the compiler as leaking params — a flow fact, not an
@@ -820,7 +814,7 @@ func (d *Detector) normDiv(a, b []float64) float64 {
 // voiceprintvet:noescape
 func (d *Detector) compare(ws *dtw.Workspace, a, b []float64) (float64, error) {
 	if d.cfg.BandRadius < 0 {
-		return ws.FastDistance(a, b, d.cfg.FastDTWRadius)
+		return ws.FastDistance(a, b, fastDTWRadius)
 	}
 	return ws.BandedDistance(a, b, d.cfg.BandRadius)
 }

@@ -278,9 +278,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{MinSamples: -1}); err == nil {
 		t.Error("negative MinSamples should error")
 	}
-	if _, err := New(Config{FastDTWRadius: -1}); err == nil {
-		t.Error("negative radius should error")
-	}
 	if _, err := New(Config{ObservationTime: -time.Second}); err == nil {
 		t.Error("negative observation time should error")
 	}
@@ -289,7 +286,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := det.Config()
-	if cfg.MinSamples != 30 || cfg.FastDTWRadius != 4 {
+	if cfg.MinSamples != 30 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 }

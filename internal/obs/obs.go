@@ -1,7 +1,6 @@
 // Package obs is the daemon's dependency-free instrumentation layer:
 // lock-free counters, gauges and fixed-bucket histograms, plus a
-// Registry that renders them in Prometheus text exposition format and as
-// the legacy flat JSON counter map.
+// Registry that renders them in Prometheus text exposition format.
 //
 // Design constraints, in order:
 //

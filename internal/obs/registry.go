@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -53,9 +52,7 @@ type Registry struct {
 }
 
 // NewRegistry builds an empty registry; namespace (e.g. "voiceprintd")
-// prefixes every rendered Prometheus metric name. The JSON rendering
-// uses bare names — it reproduces the legacy counter map, which never
-// carried the prefix.
+// prefixes every rendered Prometheus metric name.
 func NewRegistry(namespace string) *Registry {
 	return &Registry{
 		namespace: namespace,
@@ -194,40 +191,6 @@ func writeHistogram(w io.Writer, full string, in instrument) error {
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", full, suffixLabel, snap.Count)
 	return err
-}
-
-// WriteJSON renders the registry's plain counters (only — not gauges,
-// callback instruments or histograms) as a flat JSON object of bare
-// name → value, byte-identical to encoding/json marshaling of the
-// legacy map[string]uint64 counter snapshot. This is the compatibility
-// surface: the testkit's conservation accounting and any pre-redesign
-// scraper parse exactly this shape.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	m := make(map[string]uint64)
-	for _, in := range r.instruments {
-		if in.kind == kindCounter {
-			m[in.name] = in.counter.Load()
-		}
-	}
-	buf, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// Names returns the registered family names in registration order,
-// de-duplicated (histogram families with constant labels appear once).
-func (r *Registry) Names() []string {
-	var out []string
-	for _, in := range r.instruments {
-		if n := len(out); n > 0 && out[n-1] == in.name {
-			continue
-		}
-		out = append(out, in.name)
-	}
-	return out
 }
 
 // sanitizeHelp keeps HELP lines single-line (the format's only escape

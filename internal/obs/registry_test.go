@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -76,36 +75,6 @@ test_latency_ns_bucket{op="read",le="8192"} 2
 	}
 }
 
-// TestWriteJSONMatchesLegacyMap: the JSON rendering is byte-identical to
-// encoding/json marshaling of the bare counter map — the compatibility
-// contract the service's ?format=json endpoint and the testkit's
-// conservation accounting rely on.
-func TestWriteJSONMatchesLegacyMap(t *testing.T) {
-	var a, b Counter
-	a.Add(3)
-	b.Add(99)
-	var h Histogram
-	h.Observe(1)
-
-	r := NewRegistry("test")
-	r.Counter("zulu_total", "Registered first, sorts last.", &b)
-	r.Counter("alpha_total", "Registered second, sorts first.", &a)
-	r.GaugeFunc("ignored_gauge", "Gauges are not part of the legacy map.", func() int64 { return 1 })
-	r.Histogram("ignored_ns", "Histograms are not part of the legacy map.", &h)
-
-	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(map[string]uint64{"zulu_total": 99, "alpha_total": 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != string(want) {
-		t.Errorf("WriteJSON = %s, want %s", sb.String(), want)
-	}
-}
-
 func TestRegistryDuplicatePanics(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -125,8 +94,4 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 	r.Histogram("h_ns", "", &h, "k", "a")
 	mustPanic("duplicate labeled series", func() { r.Histogram("h_ns", "", &h, "k", "a") })
 	mustPanic("bad label arity", func() { r.Histogram("h2_ns", "", &h, "k") })
-
-	if got := r.Names(); len(got) != 2 || got[0] != "x_total" || got[1] != "h_ns" {
-		t.Errorf("Names() = %v", got)
-	}
 }

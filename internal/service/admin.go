@@ -48,9 +48,6 @@ type AdminConfig struct {
 //	                            journal compaction (rolling-restart handoff)
 //	GET /metrics              — Prometheus text exposition: counters, identity
 //	                            gauges, and round-latency/stage histograms
-//	GET /metrics?format=json  — the legacy flat JSON counter map (the
-//	                            pre-histogram telemetry shape, byte-compatible
-//	                            with Metrics.Snapshot)
 //	/debug/pprof/*, /debug/vars — optional, see AdminConfig.Pprof
 func NewAdminHandler(cfg AdminConfig) http.Handler {
 	obsReg := cfg.Metrics.Instruments(cfg.Registry)
@@ -92,11 +89,6 @@ func NewAdminHandler(cfg AdminConfig) http.Handler {
 		})
 	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			obsReg.WriteJSON(w)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		obsReg.WritePrometheus(w)
 	})

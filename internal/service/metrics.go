@@ -16,9 +16,8 @@ import (
 // atomics; the obs.Registry produced by Instruments only references
 // them for rendering.
 //
-// Counter names (the Snapshot keys and Prometheus families) are
-// bit-compatible with the pre-redesign hand-rolled struct — dashboards
-// and the testkit's conservation accounting parse the same names.
+// Each Snapshot key is also the counter's Prometheus family name (with
+// the voiceprintd_ prefix); testdata/metrics_golden.prom pins them all.
 type Metrics struct {
 	// ObservationsIngested counts beacons accepted into a monitor.
 	ObservationsIngested obs.Counter
@@ -89,19 +88,12 @@ type Metrics struct {
 	// WALSnapshots counts compacted snapshots written; WALSnapshotErrors
 	// counts snapshot attempts that failed.
 	WALSnapshots, WALSnapshotErrors obs.Counter
-	// RoundLatencyNs accumulates wall-clock nanoseconds spent in rounds.
-	// Kept for name compatibility; the RoundLatency histogram is the
-	// source of truth for latency analysis (percentiles, not just a
-	// mean). When a mean is all you need, the denominator is
-	// rounds_run_total — which includes errored rounds; prefer
-	// RoundLatency.Snapshot().Mean().
-	RoundLatencyNs obs.Counter
 	// ConnsOpened and ConnsClosed count ingest connections.
 	ConnsOpened, ConnsClosed obs.Counter
 
 	// RoundLatency is the wall-clock latency histogram over every round
-	// counted by RoundsRun (same population as RoundLatencyNs, with
-	// distribution). Fixed log-spaced ns buckets; see internal/obs.
+	// counted by RoundsRun; its sum is the total round time. Fixed
+	// log-spaced ns buckets; see internal/obs.
 	RoundLatency obs.Histogram
 	// IngestLag measures, per completed round, how far the receiver's
 	// ingest clock had run past the round's evaluated window end — the
@@ -122,10 +114,10 @@ type Metrics struct {
 	WALSegmentBytes, WALSnapshotBytes obs.Gauge
 }
 
-// Snapshot returns the counters as a name → value map — the legacy
-// telemetry shape (/metrics?format=json serves its JSON encoding).
-// Histograms are not part of this surface; scrape the Prometheus text
-// format for distributions.
+// Snapshot returns the counters as a name → value map, for in-process
+// readers (the replay summary, the test kit's conservation accounting,
+// the benchmark harness). Histograms are not part of this surface;
+// scrape the Prometheus text format for distributions.
 func (m *Metrics) Snapshot() map[string]uint64 {
 	return map[string]uint64{
 		"observations_ingested_total":    m.ObservationsIngested.Load(),
@@ -145,7 +137,6 @@ func (m *Metrics) Snapshot() map[string]uint64 {
 		"suspects_flagged_total":         m.SuspectsFlagged.Load(),
 		"pairs_compared_total":           m.PairsCompared.Load(),
 		"pairs_pruned_lb_total":          m.PairsPrunedLB.Load(),
-		"round_latency_ns_total":         m.RoundLatencyNs.Load(),
 		"connections_opened_total":       m.ConnsOpened.Load(),
 		"connections_closed_total":       m.ConnsClosed.Load(),
 		"wal_appends_total":              m.WALAppends.Load(),
@@ -192,7 +183,7 @@ func (o stageObserver) ObserveStage(s core.Stage, d time.Duration) {
 }
 
 // Instruments builds the obs.Registry rendering this Metrics value: all
-// counters under their legacy names, the latency histograms, and — when
+// counters under their Snapshot names, the latency histograms, and — when
 // reg is non-nil — the registry-derived identity gauges computed at
 // scrape time. The returned registry only references the instruments;
 // building one per admin handler is cheap and keeps registration
@@ -216,7 +207,6 @@ func (m *Metrics) Instruments(reg *Registry) *obs.Registry {
 	r.Counter("suspects_flagged_total", "Identity flags summed over rounds.", &m.SuspectsFlagged)
 	r.Counter("pairs_compared_total", "Pairwise comparisons resolved by a full DTW computation.", &m.PairsCompared)
 	r.Counter("pairs_pruned_lb_total", "Pairwise comparisons abandoned once their DTW lower bound cleared the cap or the boundary-derived threshold.", &m.PairsPrunedLB)
-	r.Counter("round_latency_ns_total", "Wall-clock nanoseconds summed over rounds; round_latency_ns is the source of truth, divide by rounds_run_total for a mean across all returned rounds.", &m.RoundLatencyNs)
 	r.Counter("connections_opened_total", "Ingest connections accepted.", &m.ConnsOpened)
 	r.Counter("connections_closed_total", "Ingest connections closed.", &m.ConnsClosed)
 	r.Counter("wal_appends_total", "Records journaled to the write-ahead log.", &m.WALAppends)

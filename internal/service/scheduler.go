@@ -214,7 +214,6 @@ func (s *Scheduler) round(recv vanet.NodeID, at time.Duration) (out RoundOutcome
 	}
 	out.Latency = time.Since(start)
 	s.metrics.RoundsRun.Add(1)
-	s.metrics.RoundLatencyNs.Add(uint64(out.Latency.Nanoseconds()))
 	s.metrics.RoundLatency.Observe(out.Latency.Nanoseconds())
 	if err != nil {
 		out.Err = err
