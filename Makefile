@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race vet vet-escape voiceprintvet
+.PHONY: build test test-race vet voiceprintvet
 
 build:
 	$(GO) build ./...
@@ -23,9 +23,3 @@ voiceprintvet:
 vet: voiceprintvet
 	$(GO) vet ./...
 	$(CURDIR)/bin/voiceprintvet ./...
-
-# Escape-budget gate (DESIGN.md §12): rebuild with -gcflags=-m=2 and
-# fail if any voiceprintvet:noescape function contains a heap
-# allocation site.
-vet-escape: voiceprintvet
-	$(CURDIR)/bin/voiceprintvet escape ./...

@@ -97,7 +97,7 @@ func run(pass *vet.Pass) error {
 func (c *checker) checkFunc(body *ast.BlockStmt) {
 	// Evidence available anywhere in the declaration: WaitGroup Add
 	// positions by key, and base objects of deferred calls.
-	adds := map[lockKeyT][]token.Pos{}
+	adds := map[vet.SelectorKey][]token.Pos{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			if key, ok := wgCall(c.pass.TypesInfo, call, "Add"); ok {
@@ -115,9 +115,9 @@ func (c *checker) checkFunc(body *ast.BlockStmt) {
 			return false
 		}
 		if d, ok := n.(*ast.DeferStmt); ok {
-			if sel, ok := unparen(d.Call.Fun).(*ast.SelectorExpr); ok {
-				if key, ok := keyOf(c.pass.TypesInfo, sel.X); ok {
-					deferred[key.base] = true
+			if sel, ok := vet.Unparen(d.Call.Fun).(*ast.SelectorExpr); ok {
+				if key, ok := vet.KeyOf(c.pass.TypesInfo, sel.X); ok {
+					deferred[key.Base] = true
 				}
 			}
 		}
@@ -135,15 +135,15 @@ func (c *checker) checkFunc(body *ast.BlockStmt) {
 
 // checkSpawn judges one go statement against the lifecycle evidence of
 // its enclosing declaration.
-func (c *checker) checkSpawn(g *ast.GoStmt, adds map[lockKeyT][]token.Pos, deferred map[types.Object]bool) {
+func (c *checker) checkSpawn(g *ast.GoStmt, adds map[vet.SelectorKey][]token.Pos, deferred map[types.Object]bool) {
 	info := c.pass.TypesInfo
 
 	// The body to analyze: the spawned literal, or — for a same-package
 	// named callee — its declaration body.
 	var body *ast.BlockStmt
-	if lit, ok := unparen(g.Call.Fun).(*ast.FuncLit); ok {
+	if lit, ok := vet.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		body = lit.Body
-	} else if fn := calleeFunc(info, g.Call); fn != nil {
+	} else if fn := vet.CalleeFunc(info, g.Call); fn != nil {
 		if fd := c.decls[fn]; fd != nil {
 			body = fd.Body
 		}
@@ -182,8 +182,8 @@ func (c *checker) checkSpawn(g *ast.GoStmt, adds map[lockKeyT][]token.Pos, defer
 				return
 			}
 		}
-		if sel, ok := unparen(g.Call.Fun).(*ast.SelectorExpr); ok {
-			if key, ok := keyOf(info, sel.X); ok && deferred[key.base] {
+		if sel, ok := vet.Unparen(g.Call.Fun).(*ast.SelectorExpr); ok {
+			if key, ok := vet.KeyOf(info, sel.X); ok && deferred[key.Base] {
 				return
 			}
 		}
@@ -200,16 +200,16 @@ type bodySignals struct {
 	signals bool
 	// wgAdds/wgDones: WaitGroup calls at this goroutine's level (nested
 	// spawned goroutines excluded, deferred literals included).
-	wgAdds  map[lockKeyT]token.Pos
-	wgDones map[lockKeyT]bool
+	wgAdds  map[vet.SelectorKey]token.Pos
+	wgDones map[vet.SelectorKey]bool
 	// refs: every object the body references, for teardown matching.
 	refs map[types.Object]bool
 }
 
 func analyzeBody(info *types.Info, body *ast.BlockStmt) *bodySignals {
 	sig := &bodySignals{
-		wgAdds:  map[lockKeyT]token.Pos{},
-		wgDones: map[lockKeyT]bool{},
+		wgAdds:  map[vet.SelectorKey]token.Pos{},
+		wgDones: map[vet.SelectorKey]bool{},
 		refs:    map[types.Object]bool{},
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -218,7 +218,7 @@ func analyzeBody(info *types.Info, body *ast.BlockStmt) *bodySignals {
 			// A nested spawn is its own goroutine: its body's WaitGroup
 			// calls and signals don't govern this one. Its arguments do
 			// run here, so keep walking them but skip a literal callee.
-			if _, ok := unparen(n.Call.Fun).(*ast.FuncLit); ok {
+			if _, ok := vet.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
 				for _, arg := range n.Call.Args {
 					ast.Inspect(arg, func(m ast.Node) bool { collectLeaf(info, m, sig); return true })
 				}
@@ -239,7 +239,7 @@ func analyzeBody(info *types.Info, body *ast.BlockStmt) *bodySignals {
 		case *ast.SendStmt:
 			sig.signals = true
 		case *ast.CallExpr:
-			if id, ok := unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" {
+			if id, ok := vet.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" {
 				if _, ok := info.ObjectOf(id).(*types.Builtin); ok {
 					sig.signals = true
 				}
@@ -280,7 +280,7 @@ func checkTimerLoops(pass *vet.Pass) {
 		if !ok {
 			return true
 		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+		sel, ok := vet.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok || sel.Sel.Name != "After" {
 			return true
 		}
@@ -314,76 +314,24 @@ func checkTimerLoops(pass *vet.Pass) {
 
 // ---- shared small helpers ----
 
-// lockKeyT names an object-rooted selector chain (mirrors the
-// lockdiscipline key shape).
-type lockKeyT struct {
-	base types.Object
-	path string
-}
-
 // wgCall decodes a call as a sync.WaitGroup method invocation with the
 // given name on a keyable receiver.
-func wgCall(info *types.Info, call *ast.CallExpr, name string) (lockKeyT, bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+func wgCall(info *types.Info, call *ast.CallExpr, name string) (vet.SelectorKey, bool) {
+	sel, ok := vet.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != name {
-		return lockKeyT{}, false
+		return vet.SelectorKey{}, false
 	}
 	fn, _ := info.ObjectOf(sel.Sel).(*types.Func)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return lockKeyT{}, false
+		return vet.SelectorKey{}, false
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil || !vet.IsNamed(sig.Recv().Type(), "sync", "WaitGroup") {
-		return lockKeyT{}, false
+		return vet.SelectorKey{}, false
 	}
-	return keyOf(info, sel.X)
-}
-
-func keyOf(info *types.Info, e ast.Expr) (lockKeyT, bool) {
-	switch e := unparen(e).(type) {
-	case *ast.Ident:
-		obj := info.ObjectOf(e)
-		if obj == nil {
-			return lockKeyT{}, false
-		}
-		return lockKeyT{base: obj}, true
-	case *ast.SelectorExpr:
-		k, ok := keyOf(info, e.X)
-		if !ok {
-			return lockKeyT{}, false
-		}
-		if k.path == "" {
-			k.path = e.Sel.Name
-		} else {
-			k.path += "." + e.Sel.Name
-		}
-		return k, true
-	}
-	return lockKeyT{}, false
+	return vet.KeyOf(info, sel.X)
 }
 
 func isContextType(t types.Type) bool {
 	return t != nil && vet.IsNamed(t, "context", "Context")
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.ObjectOf(fun).(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.ObjectOf(fun.Sel).(*types.Func)
-		return fn
-	}
-	return nil
 }

@@ -72,14 +72,6 @@ const (
 	heldWrite
 )
 
-// lockKey names one mutex reachable from a function: the root object
-// (receiver, local, parameter, or package var) plus the selector path
-// down to the mutex — `s.sched.mu.Lock()` keys as {obj(s), "sched.mu"}.
-type lockKey struct {
-	base types.Object
-	path string
-}
-
 type analysis struct {
 	pass *vet.Pass
 	// guarded maps in-package field objects to their mutex field name.
@@ -240,8 +232,8 @@ func (a *analysis) collectHolds(d *ast.FuncDecl, arg string) {
 // initialState seeds a method's lock state from its holds annotation:
 // the precondition means the caller already took the receiver's mutex
 // exclusively.
-func (a *analysis) initialState(fd *ast.FuncDecl) map[lockKey]lockMode {
-	st := make(map[lockKey]lockMode)
+func (a *analysis) initialState(fd *ast.FuncDecl) map[vet.SelectorKey]lockMode {
+	st := make(map[vet.SelectorKey]lockMode)
 	fn, _ := a.pass.TypesInfo.Defs[fd.Name].(*types.Func)
 	if fn == nil {
 		return st
@@ -255,7 +247,7 @@ func (a *analysis) initialState(fd *ast.FuncDecl) map[lockKey]lockMode {
 		return st
 	}
 	for _, mu := range mus {
-		st[lockKey{base: recvObj, path: mu}] = heldWrite
+		st[vet.SelectorKey{Base: recvObj, Path: mu}] = heldWrite
 	}
 	return st
 }
@@ -335,7 +327,7 @@ func isFreshExpr(info *types.Info, e ast.Expr) bool {
 // block checks a statement list in order: each statement's accesses are
 // judged against the lock state accumulated from its predecessors, then
 // its own lock effects are applied for the statements after it.
-func (a *analysis) block(list []ast.Stmt, st map[lockKey]lockMode, fresh map[types.Object]bool) {
+func (a *analysis) block(list []ast.Stmt, st map[vet.SelectorKey]lockMode, fresh map[types.Object]bool) {
 	for _, s := range list {
 		a.checkStmt(s, st, fresh)
 		a.applyEffect(s, st)
@@ -345,7 +337,7 @@ func (a *analysis) block(list []ast.Stmt, st map[lockKey]lockMode, fresh map[typ
 // checkStmt validates the accesses inside one statement, recursing into
 // nested blocks with a copy of the current state so a branch's lock
 // operations don't leak into its siblings.
-func (a *analysis) checkStmt(s ast.Stmt, st map[lockKey]lockMode, fresh map[types.Object]bool) {
+func (a *analysis) checkStmt(s ast.Stmt, st map[vet.SelectorKey]lockMode, fresh map[types.Object]bool) {
 	switch s := s.(type) {
 	case *ast.BlockStmt:
 		a.block(s.List, copyState(st), fresh)
@@ -443,7 +435,7 @@ func (a *analysis) checkStmt(s ast.Stmt, st map[lockKey]lockMode, fresh map[type
 // the lock state. Nested function literals are analyzed from scratch
 // with an empty state — a closure may run on another goroutine, so it
 // cannot inherit its definer's locks.
-func (a *analysis) checkNode(root ast.Node, st map[lockKey]lockMode, fresh map[types.Object]bool) {
+func (a *analysis) checkNode(root ast.Node, st map[vet.SelectorKey]lockMode, fresh map[types.Object]bool) {
 	if root == nil {
 		return
 	}
@@ -455,7 +447,7 @@ func (a *analysis) checkNode(root ast.Node, st map[lockKey]lockMode, fresh map[t
 		}
 		if lit, ok := n.(*ast.FuncLit); ok {
 			a.checkPairing("function literal", lit.Body)
-			a.block(lit.Body.List, make(map[lockKey]lockMode), a.freshLocals(lit.Body))
+			a.block(lit.Body.List, make(map[vet.SelectorKey]lockMode), a.freshLocals(lit.Body))
 			return false
 		}
 		switch e := n.(type) {
@@ -470,23 +462,23 @@ func (a *analysis) checkNode(root ast.Node, st map[lockKey]lockMode, fresh map[t
 }
 
 // checkGuardedAccess judges one field selector against the lock state.
-func (a *analysis) checkGuardedAccess(sel *ast.SelectorExpr, stack []ast.Node, st map[lockKey]lockMode, fresh map[types.Object]bool) {
+func (a *analysis) checkGuardedAccess(sel *ast.SelectorExpr, stack []ast.Node, st map[vet.SelectorKey]lockMode, fresh map[types.Object]bool) {
 	mu := a.guarded[a.pass.TypesInfo.ObjectOf(sel.Sel)]
 	if mu == "" {
 		return
 	}
-	baseKey, ok := keyOf(a.pass.TypesInfo, sel.X)
+	baseKey, ok := vet.KeyOf(a.pass.TypesInfo, sel.X)
 	if !ok {
 		return // base is a call result or other unkeyable expression
 	}
-	if fresh[baseKey.base] {
+	if fresh[baseKey.Base] {
 		return
 	}
 	need := baseKey
-	if need.path == "" {
-		need.path = mu
+	if need.Path == "" {
+		need.Path = mu
 	} else {
-		need.path += "." + mu
+		need.Path += "." + mu
 	}
 	write := isWriteAccess(sel, stack, a.pass.TypesInfo)
 	switch mode := st[need]; {
@@ -499,7 +491,7 @@ func (a *analysis) checkGuardedAccess(sel *ast.SelectorExpr, stack []ast.Node, s
 
 // checkHoldsCall enforces a callee's holds precondition at its call
 // site.
-func (a *analysis) checkHoldsCall(call *ast.CallExpr, st map[lockKey]lockMode, fresh map[types.Object]bool) {
+func (a *analysis) checkHoldsCall(call *ast.CallExpr, st map[vet.SelectorKey]lockMode, fresh map[types.Object]bool) {
 	fn := vet.CalleeFunc(a.pass.TypesInfo, call)
 	if fn == nil {
 		return
@@ -513,19 +505,19 @@ func (a *analysis) checkHoldsCall(call *ast.CallExpr, st map[lockKey]lockMode, f
 		a.pass.Reportf(call.Pos(), "call to %s through a method value: its voiceprintvet:holds %s precondition cannot be verified", fn.Name(), strings.Join(mus, ","))
 		return
 	}
-	baseKey, ok := keyOf(a.pass.TypesInfo, sel.X)
+	baseKey, ok := vet.KeyOf(a.pass.TypesInfo, sel.X)
 	if !ok {
 		return
 	}
-	if fresh[baseKey.base] {
+	if fresh[baseKey.Base] {
 		return
 	}
 	for _, mu := range mus {
 		need := baseKey
-		if need.path == "" {
-			need.path = mu
+		if need.Path == "" {
+			need.Path = mu
 		} else {
-			need.path += "." + mu
+			need.Path += "." + mu
 		}
 		if st[need] != heldWrite {
 			a.pass.Reportf(call.Pos(), "call to %s requires holding %s exclusively (voiceprintvet:holds %s)", fn.Name(), keyString(need), mu)
@@ -535,7 +527,7 @@ func (a *analysis) checkHoldsCall(call *ast.CallExpr, st map[lockKey]lockMode, f
 
 // applyEffect updates the lock state for the statements that follow s
 // in the same block.
-func (a *analysis) applyEffect(s ast.Stmt, st map[lockKey]lockMode) {
+func (a *analysis) applyEffect(s ast.Stmt, st map[vet.SelectorKey]lockMode) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		call, ok := s.X.(*ast.CallExpr)
@@ -591,7 +583,7 @@ func isCompound(s ast.Stmt) bool {
 
 // applyNestedUnlocks scans a compound statement for mutex releases that
 // can reach its fall-through path.
-func (a *analysis) applyNestedUnlocks(s ast.Stmt, st map[lockKey]lockMode) {
+func (a *analysis) applyNestedUnlocks(s ast.Stmt, st map[vet.SelectorKey]lockMode) {
 	info := a.pass.TypesInfo
 	// lists tracks, per ancestor, the statement list it contributes (nil
 	// for non-block ancestors), so an unlock can find its innermost
@@ -662,9 +654,9 @@ func (a *analysis) checkPairing(name string, body *ast.BlockStmt) {
 		pos token.Pos
 		op  string
 	}
-	acquired := make(map[lockKey]acquire)
-	var order []lockKey
-	released := make(map[lockKey]bool)
+	acquired := make(map[vet.SelectorKey]acquire)
+	var order []vet.SelectorKey
+	released := make(map[vet.SelectorKey]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // its own pairing scope
@@ -706,8 +698,8 @@ func (a *analysis) checkPairing(name string, body *ast.BlockStmt) {
 
 // ---- helpers ----
 
-func copyState(st map[lockKey]lockMode) map[lockKey]lockMode {
-	cp := make(map[lockKey]lockMode, len(st))
+func copyState(st map[vet.SelectorKey]lockMode) map[vet.SelectorKey]lockMode {
+	cp := make(map[vet.SelectorKey]lockMode, len(st))
 	for k, v := range st {
 		cp[k] = v
 	}
@@ -717,60 +709,36 @@ func copyState(st map[lockKey]lockMode) map[lockKey]lockMode {
 // lockCall decodes a call as (op, mutexKey) when it invokes a
 // sync.Mutex/RWMutex Lock/RLock/Unlock/RUnlock method on a keyable
 // expression.
-func lockCall(info *types.Info, call *ast.CallExpr) (string, lockKey, bool) {
+func lockCall(info *types.Info, call *ast.CallExpr) (string, vet.SelectorKey, bool) {
 	sel, ok := vet.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return "", lockKey{}, false
+		return "", vet.SelectorKey{}, false
 	}
 	switch sel.Sel.Name {
 	case "Lock", "RLock", "Unlock", "RUnlock":
 	default:
-		return "", lockKey{}, false
+		return "", vet.SelectorKey{}, false
 	}
 	fn, _ := info.ObjectOf(sel.Sel).(*types.Func)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", lockKey{}, false
+		return "", vet.SelectorKey{}, false
 	}
-	key, ok := keyOf(info, sel.X)
+	key, ok := vet.KeyOf(info, sel.X)
 	if !ok {
-		return "", lockKey{}, false
+		return "", vet.SelectorKey{}, false
 	}
 	return sel.Sel.Name, key, true
 }
 
-// keyOf resolves an expression to a (root object, selector path) key.
-func keyOf(info *types.Info, e ast.Expr) (lockKey, bool) {
-	switch e := vet.Unparen(e).(type) {
-	case *ast.Ident:
-		obj := info.ObjectOf(e)
-		if obj == nil {
-			return lockKey{}, false
-		}
-		return lockKey{base: obj}, true
-	case *ast.SelectorExpr:
-		k, ok := keyOf(info, e.X)
-		if !ok {
-			return lockKey{}, false
-		}
-		if k.path == "" {
-			k.path = e.Sel.Name
-		} else {
-			k.path += "." + e.Sel.Name
-		}
-		return k, true
-	}
-	return lockKey{}, false
-}
-
-func keyString(k lockKey) string {
+func keyString(k vet.SelectorKey) string {
 	name := "?"
-	if k.base != nil {
-		name = k.base.Name()
+	if k.Base != nil {
+		name = k.Base.Name()
 	}
-	if k.path == "" {
+	if k.Path == "" {
 		return name
 	}
-	return name + "." + k.path
+	return name + "." + k.Path
 }
 
 // exprString renders a selector chain for diagnostics.

@@ -7,8 +7,8 @@
 // *rand.Rand; map-fed slices must be sorted before use.
 //
 // The one sanctioned wall-clock use is stage timing behind an inlined
-// `Observer != nil` guard (see the observerguard analyzer): timing how
-// long a stage took does not alter what it computed.
+// `Observer != nil` guard: timing how long a stage took does not alter
+// what it computed. An unguarded read is reported like any other.
 package nondeterminism
 
 import (

@@ -78,6 +78,38 @@ func isNilIdent(info *types.Info, e ast.Expr) bool {
 	return isNil
 }
 
+// SelectorKey names an object-rooted selector chain: the root object
+// (receiver, local, parameter, or package var) plus the selector path
+// below it — `s.sched.mu` keys as {obj(s), "sched.mu"}.
+type SelectorKey struct {
+	Base types.Object
+	Path string
+}
+
+// KeyOf resolves an identifier or selector chain to its SelectorKey.
+func KeyOf(info *types.Info, e ast.Expr) (SelectorKey, bool) {
+	switch e := Unparen(e).(type) {
+	case *ast.Ident:
+		obj := info.ObjectOf(e)
+		if obj == nil {
+			return SelectorKey{}, false
+		}
+		return SelectorKey{Base: obj}, true
+	case *ast.SelectorExpr:
+		k, ok := KeyOf(info, e.X)
+		if !ok {
+			return SelectorKey{}, false
+		}
+		if k.Path == "" {
+			k.Path = e.Sel.Name
+		} else {
+			k.Path += "." + e.Sel.Name
+		}
+		return k, true
+	}
+	return SelectorKey{}, false
+}
+
 // InBody reports whether n sits inside the if statement's then-branch.
 func InBody(ifs *ast.IfStmt, n ast.Node) bool {
 	return ifs.Body != nil && ifs.Body.Pos() <= n.Pos() && n.Pos() < ifs.Body.End()

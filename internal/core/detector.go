@@ -754,8 +754,6 @@ func (d *Detector) resolvePair(ws *dtw.Workspace, sc *roundScratch, pairs []Pair
 
 // comparePairAt fills in one pair's raw distance in place, comparing the
 // normalized series a (for pd.A) and b (for pd.B) on ws.
-//
-// voiceprintvet:noescape
 func (d *Detector) comparePairAt(ws *dtw.Workspace, pd *PairDistance, a, b []float64) error {
 	raw, err := d.compare(ws, a, b)
 	if err != nil {
@@ -766,9 +764,9 @@ func (d *Detector) comparePairAt(ws *dtw.Workspace, pd *PairDistance, a, b []flo
 }
 
 // comparePairErr formats a compare failure off the hot path: fmt's
-// argument boxing is a heap allocation, and comparePairAt is
-// escape-budgeted. Kept out of line so the boxing stays in this cold
-// frame instead of being inlined back into the budgeted caller.
+// argument boxing is a heap allocation. Kept out of line so the boxing
+// stays in this cold frame instead of being inlined into comparePairAt,
+// which runs once per compared pair.
 //
 //go:noinline
 func comparePairErr(a, b vanet.NodeID, err error) error {
@@ -779,8 +777,6 @@ func comparePairErr(a, b vanet.NodeID, err error) error {
 // the caps and Equation 8 operate on (a no-op when length normalization
 // is disabled). Bounds must go through the same scaling as distances or
 // the pruning comparisons would mix scales.
-//
-// voiceprintvet:noescape
 func (d *Detector) perSample(v float64, a, b []float64) float64 {
 	return v / d.normDiv(a, b)
 }
@@ -788,8 +784,6 @@ func (d *Detector) perSample(v float64, a, b []float64) float64 {
 // normDiv is the per-sample scaling divisor perSample applies; the
 // early-abandoning DP takes it explicitly so its in-kernel cutoff
 // comparison uses the identical division.
-//
-// voiceprintvet:noescape
 func (d *Detector) normDiv(a, b []float64) float64 {
 	if d.cfg.DisableLengthNormalization {
 		return 1
@@ -807,11 +801,7 @@ func (d *Detector) normDiv(a, b []float64) float64 {
 const fastDTWRadius = 4
 
 // compare measures one pair: banded DTW by default, unconstrained
-// FastDTW when BandRadius < 0. The arena slices it hands the workspace
-// are reported by the compiler as leaking params — a flow fact, not an
-// allocation (see DESIGN.md §12) — so the budget annotation holds.
-//
-// voiceprintvet:noescape
+// FastDTW when BandRadius < 0.
 func (d *Detector) compare(ws *dtw.Workspace, a, b []float64) (float64, error) {
 	if d.cfg.BandRadius < 0 {
 		return ws.FastDistance(a, b, fastDTWRadius)

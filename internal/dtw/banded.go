@@ -116,8 +116,6 @@ func kernelRange(x, y []float64) bool {
 // The caller guarantees kernelRange(x, y): every DP value is then +0,
 // positive finite, or a +Inf sentinel, and on such values bitMin selects
 // exactly what the branchy comparison chain would.
-//
-// voiceprintvet:noescape
 func bandedKernel(prev, cur, x, y []float64, radius int, norm, cutoff float64) (float64, bool) {
 	n := len(x)
 	inf := math.Inf(1)

@@ -12,8 +12,6 @@ import "math"
 // with the value), so on the banded kernel's DP values bitMin equals
 // the strict-less float comparison. It is not a float minimum for
 // negative values or NaN.
-//
-// voiceprintvet:noescape
 func bitMin(a, b float64) float64 {
 	ua, ub := math.Float64bits(a), math.Float64bits(b)
 	if ub < ua {

@@ -8,8 +8,6 @@ package dtw
 // math.Float64bits into two runtime calls and made the kernel twice as
 // slow as the branchy kernel it replaced; on the kernel's values (+0,
 // positive finite, +Inf) both forms return the same bits.
-//
-// voiceprintvet:noescape
 func bitMin(a, b float64) float64 {
 	if b < a {
 		return b

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // Histogram bucket layout: fixed log-spaced (power-of-two) buckets over
@@ -57,8 +56,6 @@ type Histogram struct {
 // Observe records one value in nanoseconds. Negative values clamp to
 // zero (they can only come from clock anomalies; losing them would skew
 // rates, crediting them negatively would corrupt the sum).
-//
-// voiceprintvet:noescape
 func (h *Histogram) Observe(ns int64) {
 	if ns < 0 {
 		ns = 0
@@ -66,11 +63,6 @@ func (h *Histogram) Observe(ns int64) {
 	h.sum.Add(uint64(ns))
 	h.buckets[bucketIndex(uint64(ns))].Add(1)
 }
-
-// ObserveDuration records one duration.
-//
-// voiceprintvet:noescape
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Nanoseconds()) }
 
 // Snapshot returns a point-in-time copy of the histogram.
 func (h *Histogram) Snapshot() HistogramSnapshot {

@@ -155,3 +155,31 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Errorf("Σ buckets = %d != Count %d", total, s.Count)
 	}
 }
+
+// TestInstrumentAllocs pins every hot-path instrument update at zero
+// allocations: the daemon calls them per beacon, per journal write and
+// per round stage.
+func TestInstrumentAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	var (
+		c Counter
+		g Gauge
+		h Histogram
+	)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Counter.Add", func() { c.Add(1000) }},
+		{"Counter.Inc", func() { c.Inc() }},
+		{"Gauge.Set", func() { g.Set(1 << 20) }},
+		{"Gauge.Add", func() { g.Add(-1000) }},
+		{"Histogram.Observe", func() { h.Observe(1_500_000) }},
+	} {
+		if got := testing.AllocsPerRun(200, tc.fn); got != 0 {
+			t.Errorf("%s: %v allocs, want 0", tc.name, got)
+		}
+	}
+}

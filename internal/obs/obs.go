@@ -27,13 +27,9 @@ import "sync/atomic"
 type Counter struct{ v atomic.Uint64 }
 
 // Add increments the counter by n.
-//
-// voiceprintvet:noescape
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
-//
-// voiceprintvet:noescape
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current count.
@@ -44,13 +40,9 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 type Gauge struct{ v atomic.Int64 }
 
 // Set replaces the gauge value.
-//
-// voiceprintvet:noescape
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add moves the gauge by delta (negative deltas decrease it).
-//
-// voiceprintvet:noescape
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Load returns the current value.

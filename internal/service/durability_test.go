@@ -273,3 +273,53 @@ func TestSnapshotEndpoint(t *testing.T) {
 	}
 	srv.snapBusy.Store(false)
 }
+
+// TestJournaledObserveAllocs pins the journaled ingest path — WAL
+// append under the snapshot barrier, then the monitor apply — at zero
+// allocations per beacon on a warmed receiver, for plain and for
+// positioned beacons alike.
+func TestJournaledObserveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	metrics := &Metrics{}
+	reg, err := NewRegistry(RegistryConfig{Monitor: testMonitorConfig()}, metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncNone, Stats: metrics.walStats()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	reg.SetJournal(l)
+	var tMs int64 // one stream clock across both cases: a beacon behind it would be dropped as stale
+	for _, tc := range []struct {
+		name string
+		pos  *Position
+	}{
+		{"plain", nil},
+		{"positioned", &Position{X: 42.5, Y: -3.75}},
+	} {
+		o := Observation{Recv: 901, Sender: 1002, RSSI: -68.5, Pos: tc.pos}
+		if tc.pos != nil {
+			o.Schema = 1
+		}
+		step := func() {
+			tMs += 100
+			o.TMs = tMs
+			if err := reg.Observe(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2000; i++ { // warm the monitor, its series and the WAL buffer
+			step()
+		}
+		if got := testing.AllocsPerRun(200, step); got != 0 {
+			t.Errorf("%s beacon: %v allocs, want 0", tc.name, got)
+		}
+	}
+	if got, want := metrics.ObservationsIngested.Load(), uint64(2*(2000+201)); got != want {
+		t.Errorf("ingested %d beacons, want %d: the budget measured a drop path", got, want)
+	}
+}

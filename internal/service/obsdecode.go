@@ -47,8 +47,6 @@ type obsScanner struct {
 // false means "not decided here", never "malformed". Validation
 // (negative t_ms, schema range, non-finite values) is left to the
 // caller, which applies it to both paths alike.
-//
-// voiceprintvet:noescape
 func scanObservation(line []byte) (Observation, bool) {
 	var o Observation
 	var seen uint8
@@ -100,15 +98,13 @@ func scanObservation(line []byte) (Observation, bool) {
 }
 
 // newPosition is the schema-1 path's one allocation, kept out of line so
-// the heap site stays in this frame rather than being inlined into the
-// escape-budgeted scanner.
+// the heap site stays in this frame rather than being inlined into
+// scanObservation, which runs once per ingested line.
 //
 //go:noinline
 func newPosition(x, y float64) *Position { return &Position{X: x, Y: y} }
 
 // position decodes a pos object holding exactly one x and one y.
-//
-// voiceprintvet:noescape
 func (s *obsScanner) position(x, y *float64) bool {
 	if !s.next('{') {
 		return false
@@ -137,8 +133,6 @@ func (s *obsScanner) position(x, y *float64) bool {
 }
 
 // skipSpace advances past JSON whitespace.
-//
-// voiceprintvet:noescape
 func (s *obsScanner) skipSpace() {
 	for s.i < len(s.b) {
 		switch s.b[s.i] {
@@ -151,8 +145,6 @@ func (s *obsScanner) skipSpace() {
 }
 
 // next skips whitespace and consumes c if it comes next.
-//
-// voiceprintvet:noescape
 func (s *obsScanner) next(c byte) bool {
 	s.skipSpace()
 	if s.i < len(s.b) && s.b[s.i] == c {
@@ -165,8 +157,6 @@ func (s *obsScanner) next(c byte) bool {
 // key consumes `"name":` and returns name's raw bytes. Escapes are not
 // decoded: a name holding a backslash matches no field, so the line
 // falls back.
-//
-// voiceprintvet:noescape
 func (s *obsScanner) key() ([]byte, bool) {
 	if !s.next('"') {
 		return nil, false
@@ -187,8 +177,6 @@ func (s *obsScanner) key() ([]byte, bool) {
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and reports whether it
 // is an integer (no fraction or exponent). What follows the token is the
 // caller's to check.
-//
-// voiceprintvet:noescape
 func (s *obsScanner) number() (tok []byte, integer, ok bool) {
 	s.skipSpace()
 	b, i := s.b, s.i
@@ -227,8 +215,6 @@ func (s *obsScanner) number() (tok []byte, integer, ok bool) {
 }
 
 // skipDigits returns the index of the first non-digit at or after i.
-//
-// voiceprintvet:noescape
 func skipDigits(b []byte, i int) int {
 	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
 		i++
@@ -238,8 +224,6 @@ func skipDigits(b []byte, i int) int {
 
 // readUint32 decodes a non-negative integer that fits in 32 bits, the
 // values json decodes into a vanet.NodeID.
-//
-// voiceprintvet:noescape
 func (s *obsScanner) readUint32(dst *vanet.NodeID) bool {
 	tok, integer, ok := s.number()
 	if !ok || !integer || tok[0] == '-' || len(tok) > 10 {
@@ -255,8 +239,6 @@ func (s *obsScanner) readUint32(dst *vanet.NodeID) bool {
 
 // readInt64 decodes an integer that fits in 64 bits, the values json
 // decodes into an int64 (and, on 64-bit platforms, an int).
-//
-// voiceprintvet:noescape
 func (s *obsScanner) readInt64(dst *int64) bool {
 	tok, integer, ok := s.number()
 	if !ok || !integer {
@@ -283,8 +265,6 @@ func (s *obsScanner) readInt64(dst *int64) bool {
 }
 
 // digitsValue is the value of an all-digit token of at most 19 digits.
-//
-// voiceprintvet:noescape
 func digitsValue(tok []byte) uint64 {
 	var v uint64
 	for _, c := range tok {
@@ -298,8 +278,6 @@ func digitsValue(tok []byte) uint64 {
 // enforce (it also takes hex, "inf" and "nan"). A
 // ParseFloat error — overflow to ±Inf — declines, leaving json's own
 // error to the fallback.
-//
-// voiceprintvet:noescape
 func (s *obsScanner) readFloat(dst *float64) bool {
 	tok, _, ok := s.number()
 	if !ok {

@@ -57,14 +57,10 @@ func FromValues(values []float64, period time.Duration) *Series {
 }
 
 // live returns the live samples.
-//
-// voiceprintvet:noescape
 func (s *Series) live() []Sample { return s.buf[s.head:] }
 
 // Append adds a sample. It returns an error when t would go backwards in
 // time, which indicates a corrupted trace.
-//
-// voiceprintvet:noescape
 func (s *Series) Append(t time.Duration, rssi float64) error {
 	if n := len(s.buf); n > s.head && t < s.buf[n-1].T {
 		return backwardsErr(t, s.buf[n-1].T)
@@ -74,10 +70,9 @@ func (s *Series) Append(t time.Duration, rssi float64) error {
 }
 
 // backwardsErr formats the out-of-order-sample failure off the
-// per-sample hot path; fmt's argument boxing would otherwise break
-// Append's escape budget. Kept out of line so the boxing stays in
-// this cold frame instead of being inlined back into the budgeted
-// caller.
+// per-sample hot path: fmt's argument boxing is a heap allocation.
+// Kept out of line so the boxing stays in this cold frame instead of
+// being inlined into Append, which runs once per sample.
 //
 //go:noinline
 func backwardsErr(t, last time.Duration) error {
@@ -93,8 +88,6 @@ var ErrNonFiniteRSSI = errors.New("timeseries: non-finite RSSI")
 // (trace loaders, simulators) must use it — or core.Monitor.Observe,
 // which performs the same validation — rather than raw Append; the
 // nonfinite analyzer in internal/analysis enforces this.
-//
-// voiceprintvet:noescape
 func (s *Series) AppendChecked(t time.Duration, rssi float64) error {
 	if math.IsNaN(rssi) || math.IsInf(rssi, 0) {
 		return nonFiniteErr(rssi, t)
@@ -111,13 +104,9 @@ func nonFiniteErr(rssi float64, t time.Duration) error {
 }
 
 // Len returns the number of samples.
-//
-// voiceprintvet:noescape
 func (s *Series) Len() int { return len(s.buf) - s.head }
 
 // At returns the i-th sample.
-//
-// voiceprintvet:noescape
 func (s *Series) At(i int) Sample { return s.buf[s.head+i] }
 
 // Values returns a copy of the RSSI values in order.
@@ -128,8 +117,6 @@ func (s *Series) Values() []float64 {
 // AppendValues appends the RSSI values in order to dst and returns the
 // extended slice. Scratch-conscious callers use it to collect values
 // into a reused arena instead of allocating per call.
-//
-// voiceprintvet:noescape
 func (s *Series) AppendValues(dst []float64) []float64 {
 	for _, smp := range s.live() {
 		dst = append(dst, smp.RSSI)
@@ -198,8 +185,6 @@ func (s *Series) Clone() *Series {
 
 // searchT returns the index of the first live sample with T >= t (by
 // binary search; samples are time-ordered).
-//
-// voiceprintvet:noescape
 func (s *Series) searchT(t time.Duration) int {
 	live := s.live()
 	return sort.Search(len(live), func(i int) bool { return live[i].T >= t })
@@ -216,8 +201,6 @@ func (s *Series) Window(from, to time.Duration) *Series {
 
 // windowBounds returns the live-index half-open range [lo, hi) of
 // samples with T in [from, to).
-//
-// voiceprintvet:noescape
 func (s *Series) windowBounds(from, to time.Duration) (lo, hi int) {
 	if to <= from {
 		return 0, 0
@@ -237,8 +220,6 @@ func (s *Series) WindowView(from, to time.Duration) *Series {
 // and returns dst. It allocates nothing: monitors keep one reusable view
 // header per tracked identity and rebuild it each detection round. The
 // same validity rules as WindowView apply.
-//
-// voiceprintvet:noescape
 func (s *Series) WindowViewInto(from, to time.Duration, dst *Series) *Series {
 	lo, hi := s.windowBounds(from, to)
 	dst.buf = s.live()[lo:hi:hi]

@@ -296,3 +296,29 @@ func TestGenRandomWalkBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestSeriesAppendAllocs pins the per-sample append at zero allocations
+// on a series whose buffer already has room: every beacon a monitor
+// ingests goes through it.
+func TestSeriesAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	s := New(512)
+	at := time.Duration(0)
+	for i := 0; i < 8; i++ {
+		at += beat
+		if err := s.Append(at, -70); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := testing.AllocsPerRun(200, func() {
+		at += beat
+		if err := s.Append(at, -70.5); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("Series.Append: %v allocs, want 0", got)
+	}
+}

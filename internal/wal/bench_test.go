@@ -17,7 +17,7 @@ func benchAppend(b *testing.B, policy SyncPolicy) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := l.AppendObservation(vanet.NodeID(1+i%8), vanet.NodeID(100+i%512), time.Duration(i)*time.Millisecond, -60-float64(i%20))
+		err := l.Append(Record{Kind: KindObservation, Recv: vanet.NodeID(1 + i%8), Sender: vanet.NodeID(100 + i%512), T: time.Duration(i) * time.Millisecond, RSSI: -60 - float64(i%20)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 	const records = 100_000
 	for i := 0; i < records; i++ {
-		err := l.AppendObservation(vanet.NodeID(1+i%8), vanet.NodeID(100+i%512), time.Duration(i)*time.Millisecond, -60-float64(i%20))
+		err := l.Append(Record{Kind: KindObservation, Recv: vanet.NodeID(1 + i%8), Sender: vanet.NodeID(100 + i%512), T: time.Duration(i) * time.Millisecond, RSSI: -60 - float64(i%20)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -89,8 +89,6 @@ var (
 
 // AppendRecord appends r's framed encoding to dst and returns the
 // extended slice. The only error is an unknown Kind.
-//
-// voiceprintvet:noescape
 func AppendRecord(dst []byte, r Record) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, make([]byte, frameHeader)...)
@@ -123,9 +121,9 @@ func AppendRecord(dst []byte, r Record) ([]byte, error) {
 }
 
 // errUnknownKind formats AppendRecord's only failure off the append hot
-// path; fmt's argument boxing would otherwise break the encoder's
-// escape budget. Kept out of line so the boxing stays in this cold
-// frame instead of being inlined back into the budgeted caller.
+// path: fmt's argument boxing is a heap allocation. Kept out of line so
+// the boxing stays in this cold frame instead of being inlined into
+// AppendRecord, which runs once per journaled record.
 //
 //go:noinline
 func errUnknownKind(k Kind) error {

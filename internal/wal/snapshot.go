@@ -194,8 +194,6 @@ func loadSnapshot(path string) (*snapshotDoc, error) {
 // per claim (t, 8-byte X bits, 8-byte Y bits, 8-byte RSSI bits)),
 // confirm count, per entry (id, flag count, one byte per flag),
 // known-Sybil count, per entry (id).
-//
-// voiceprintvet:noescape
 func encodeStates(dst []byte, states []ReceiverState) []byte {
 	dst = append(dst, snapVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(states)))

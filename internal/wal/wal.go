@@ -386,18 +386,6 @@ func (l *Log) Begin() { l.barrier.RLock() }
 // End releases the barrier taken by Begin.
 func (l *Log) End() { l.barrier.RUnlock() }
 
-// AppendObservation journals one ingest step.
-func (l *Log) AppendObservation(recv, sender vanet.NodeID, t time.Duration, rssi float64) error {
-	return l.Append(Record{Kind: KindObservation, Recv: recv, Sender: sender, T: t, RSSI: rssi})
-}
-
-// AppendObservationPos journals one positioned ingest step: the plain
-// observation fields plus the beacon's claimed sender position (relative
-// to the receiver, meters).
-func (l *Log) AppendObservationPos(recv, sender vanet.NodeID, t time.Duration, rssi, x, y float64) error {
-	return l.Append(Record{Kind: KindObservationPos, Recv: recv, Sender: sender, T: t, RSSI: rssi, X: x, Y: y})
-}
-
 // AppendRound journals one detection-round boundary (at < 0 = live).
 func (l *Log) AppendRound(recv vanet.NodeID, at time.Duration) error {
 	return l.Append(Record{Kind: KindRound, Recv: recv, At: at})

@@ -82,7 +82,7 @@ func TestDecodeRecordErrors(t *testing.T) {
 func appendN(t *testing.T, l *Log, start, n int) {
 	t.Helper()
 	for i := start; i < start+n; i++ {
-		err := l.AppendObservation(vanet.NodeID(1+i%3), vanet.NodeID(100+i), time.Duration(i)*time.Millisecond, -60-float64(i%20))
+		err := l.Append(Record{Kind: KindObservation, Recv: vanet.NodeID(1 + i%3), Sender: vanet.NodeID(100 + i), T: time.Duration(i) * time.Millisecond, RSSI: -60 - float64(i%20)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +415,7 @@ func TestSnapshotBarrierExcludesConcurrentAppends(t *testing.T) {
 		// An op holding the barrier blocks the snapshot until End.
 		l.Begin()
 		defer l.End()
-		if err := l.AppendObservation(1, 2, time.Hour, -70); err != nil {
+		if err := l.Append(Record{Kind: KindObservation, Recv: 1, Sender: 2, T: time.Hour, RSSI: -70}); err != nil {
 			t.Error(err)
 		}
 		select {
@@ -643,10 +643,10 @@ func TestAppendObservationPosReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendObservation(901, 102, time.Second, -71); err != nil {
+	if err := l.Append(Record{Kind: KindObservation, Recv: 901, Sender: 102, T: time.Second, RSSI: -71}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendObservationPos(901, 103, 2*time.Second, -68.5, 42.5, -3.75); err != nil {
+	if err := l.Append(Record{Kind: KindObservationPos, Recv: 901, Sender: 103, T: 2 * time.Second, RSSI: -68.5, X: 42.5, Y: -3.75}); err != nil {
 		t.Fatal(err)
 	}
 	run := []Record{
@@ -675,5 +675,70 @@ func TestAppendObservationPosReplay(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("replayed %+v, want %+v", got, want)
+	}
+}
+
+// allocRecords is one record of each kind, with ids past the runtime's
+// small-integer cache so any boxing of them would allocate.
+var allocRecords = []Record{
+	{Kind: KindObservation, Recv: 901, Sender: 1002, T: 1500 * time.Millisecond, RSSI: -71.25},
+	{Kind: KindRound, Recv: 901, At: 2 * time.Second},
+	{Kind: KindObservationPos, Recv: 901, Sender: 1003, T: 2500 * time.Millisecond, RSSI: -68.5, X: 42.5, Y: -3.75},
+}
+
+// TestAppendRecordAllocs pins the frame encoder at zero allocations for
+// every record kind when the destination buffer is reused.
+func TestAppendRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	buf := make([]byte, 0, 256)
+	for _, r := range allocRecords {
+		got := testing.AllocsPerRun(200, func() {
+			var err error
+			if buf, err = AppendRecord(buf[:0], r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("AppendRecord(kind %d): %v allocs, want 0", r.Kind, got)
+		}
+	}
+}
+
+// TestEncodeStatesAllocs pins the snapshot encoder at zero allocations
+// into a buffer already sized for the payload.
+func TestEncodeStatesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	states := fusedTestStates(t)
+	buf := make([]byte, 0, len(encodeStates(nil, states)))
+	if got := testing.AllocsPerRun(50, func() { buf = encodeStates(buf[:0], states) }); got != 0 {
+		t.Errorf("encodeStates: %v allocs, want 0", got)
+	}
+}
+
+// TestLogAppendAllocs pins the journal write path at zero allocations
+// for a batch once the log's frame buffer has grown to fit it.
+func TestLogAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	l, _, err := Open(Options{Dir: t.TempDir(), Policy: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(allocRecords...); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if err := l.Append(allocRecords...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("Log.Append of %d records: %v allocs, want 0", len(allocRecords), got)
 	}
 }
