@@ -74,15 +74,9 @@ func run() error {
 	confirmWindow := flag.Int("confirm-window", 1, "confirmation window N (rounds)")
 	confirmNeed := flag.Int("confirm-need", 1, "flags needed within the window (K of N)")
 	evictAfter := flag.Duration("evict-after", 0, "drop identities silent this long (0 = 2x observation)")
-	tolerance := flag.Duration("reorder-tolerance", 500*time.Millisecond, "accept observations up to this far out of order")
+	tolerance := flag.Duration("reorder-tolerance", 500*time.Millisecond, "accept observations up to this far out of order (negative = strict ordering)")
 	workers := flag.Int("workers", 0, "detection round worker pool size (0 = GOMAXPROCS)")
-	prune := flag.Bool("prune", true, "early-abandoning lower-bound pruning in the compare phase (bit-identical verdicts)")
 	fusionOn := flag.Bool("fusion", false, "enable the multi-signal fusion detector: claimed-position consistency per monitor plus cross-receiver co-observation cliques on synchronized rounds")
-	fusionAlpha := flag.Float64("fusion-alpha", 0, "position signal chi-square significance level (0 = default 0.001)")
-	fusionMinCohort := flag.Int("fusion-min-cohort", 0, "fewest testable identities before the position mean test runs (0 = default 4)")
-	fusionCorr := flag.Float64("fusion-corr-threshold", 0, "residual-correlation threshold flagging same-radio identity pairs (0 = default 0.93)")
-	fusionPosQuorum := flag.Int("fusion-pos-quorum", 0, "receivers that must position-flag an identity to anchor a clique conviction (0 = default 2)")
-	fusionEdgeQuorum := flag.Int("fusion-edge-quorum", 0, "receivers that must voiceprint-flag a pair to form a co-observation edge (0 = default 2)")
 	ingestBuffer := flag.Int("ingest-buffer", 0, "per-connection observation buffer (0 = default 4096)")
 	eventBuffer := flag.Int("event-buffer", 0, "per-connection outbound verdict buffer (0 = default 256)")
 	maxLineBytes := flag.Int("max-line-bytes", 0, "max inbound NDJSON line length (0 = default 64KiB)")
@@ -115,47 +109,35 @@ func run() error {
 
 	regCfg := service.RegistryConfig{
 		Monitor: core.MonitorConfig{
-			Detector:      core.DefaultConfig(lda.Boundary{K: *k, B: *b}),
-			MaxRangeM:     *maxRange,
-			ConfirmWindow: *confirmWindow,
-			ConfirmNeed:   *confirmNeed,
-			EvictAfter:    *evictAfter,
+			Detector:         core.DefaultConfig(lda.Boundary{K: *k, B: *b}),
+			MaxRangeM:        *maxRange,
+			ConfirmWindow:    *confirmWindow,
+			ConfirmNeed:      *confirmNeed,
+			EvictAfter:       *evictAfter,
+			ReorderTolerance: *tolerance,
 		},
-		ReorderTolerance: *tolerance,
 	}
 	regCfg.Monitor.Detector.ObservationTime = *observation
 	regCfg.Monitor.Detector.Workers = *workers
-	regCfg.Monitor.Detector.LBPrune = *prune
+	// Pruning leaves verdicts bit-identical: only a pair that cannot be
+	// flagged keeps a lower bound in place of its distance, and events
+	// carry no distances.
+	regCfg.Monitor.Detector.LBPrune = true
 
 	var coord service.RoundCoordinator
 	if *fusionOn {
-		pos, err := fusion.NewPositionSignal(fusion.PositionConfig{
-			Alpha:         *fusionAlpha,
-			MinCohort:     *fusionMinCohort,
-			CorrThreshold: *fusionCorr,
-		})
-		if err != nil {
-			return fmt.Errorf("-fusion: %w", err)
-		}
 		regCfg.Monitor.Fusion = core.FusionOptions{
 			Enabled: true,
-			Signals: []core.Signal{pos},
+			Signals: []core.Signal{fusion.NewPositionSignal()},
 		}
-		c, err := fusion.NewCoordinator(fusion.CoordinatorConfig{
-			PosQuorum:  *fusionPosQuorum,
-			EdgeQuorum: *fusionEdgeQuorum,
-		})
-		if err != nil {
-			return fmt.Errorf("-fusion: %w", err)
-		}
-		coord = c
+		coord = fusion.NewCoordinator()
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	if *replay != "" {
-		return runReplay(ctx, *replay, regCfg, *period, *speed, *workers, logger)
+		return runReplay(ctx, *replay, regCfg, *period, *speed, logger)
 	}
 
 	cfg := service.Config{
@@ -263,7 +245,7 @@ func buildVersion() string {
 
 // runReplay streams a trace CSV through the ingest path, printing the
 // verdict event stream to stdout.
-func runReplay(ctx context.Context, path string, regCfg service.RegistryConfig, period time.Duration, speed float64, workers int, logger *slog.Logger) error {
+func runReplay(ctx context.Context, path string, regCfg service.RegistryConfig, period time.Duration, speed float64, logger *slog.Logger) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -274,7 +256,6 @@ func runReplay(ctx context.Context, path string, regCfg service.RegistryConfig, 
 		Registry: regCfg,
 		Period:   period,
 		Speed:    speed,
-		Workers:  workers,
 	}, metrics, func(out service.RoundOutcome) {
 		os.Stdout.Write(service.EventFromOutcome(out).Encode())
 	})

@@ -1,11 +1,10 @@
 // Command voiceprintvet is the repository's invariant multichecker: a
 // standalone analysis driver enforcing the guarantees the Voiceprint
 // reproduction depends on — deterministic detection output, NaN/Inf
-// safety at every RSSI boundary, no internal use of deprecated
-// compatibility fields, mutex contracts, and goroutine hygiene. It
-// complements `go vet ./...`, whose copylocks check covers copies of
-// mutex-holding structs; the hot paths' allocation budgets are
-// testing.AllocsPerRun tests in the packages that own them.
+// safety at every RSSI boundary, mutex contracts, and goroutine
+// hygiene. It complements `go vet ./...`, whose copylocks check covers
+// copies of mutex-holding structs; the hot paths' allocation budgets
+// are testing.AllocsPerRun tests in the packages that own them.
 //
 // Usage:
 //
@@ -22,7 +21,6 @@
 package main
 
 import (
-	"voiceprint/internal/analysis/deprecated"
 	"voiceprint/internal/analysis/goroutinehygiene"
 	"voiceprint/internal/analysis/lockdiscipline"
 	"voiceprint/internal/analysis/nondeterminism"
@@ -34,7 +32,6 @@ func main() {
 	vet.Main(
 		nondeterminism.Analyzer,
 		nonfinite.Analyzer,
-		deprecated.Analyzer,
 		lockdiscipline.Analyzer,
 		goroutinehygiene.Analyzer,
 	)

@@ -16,8 +16,8 @@ func TestUncheckedIngest(t *testing.T) {
 }
 
 func TestFloatEqualityInFusion(t *testing.T) {
-	// The fusion signal thresholds (PositionConfig) are detection math:
-	// a NaN threshold must be caught by Validate, never compared with ==.
+	// The fusion signals are detection math: their deviations and
+	// correlations are floats that must never be compared with ==.
 	vettest.Run(t, nonfinite.Analyzer, "testdata/src/strict", "voiceprint/internal/fusion")
 }
 

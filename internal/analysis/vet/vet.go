@@ -83,8 +83,8 @@ func NewInfo() *types.Info {
 
 // Run applies the analyzers to the unit and returns the surviving
 // diagnostics in position order: AppliesTo filtering, _test.go
-// filtering (test files exercise deprecated fields and seeded
-// nondeterminism on purpose), and //voiceprintvet:ignore suppression
+// filtering (test files exercise seeded nondeterminism and raw
+// ingest on purpose), and //voiceprintvet:ignore suppression
 // all happen here so the driver and the fixture tests behave
 // identically.
 func Run(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {

@@ -23,86 +23,44 @@ package baseline
 import (
 	"errors"
 	"math"
-	"time"
 
 	"voiceprint/internal/radio"
 	"voiceprint/internal/stats"
 	"voiceprint/internal/vanet"
 )
 
-// Config parameterizes a CPVSAD verifier.
-type Config struct {
-	// Model is the predefined propagation model the verifier assumes
-	// (the paper's comparison uses shadowing with sigma 3.9 dB).
-	Model radio.Model
-	// SigmaDB is the shadowing standard deviation assumed by the test.
-	// Zero means 3.9.
-	SigmaDB float64
-	// Alpha is the test significance level; zero means 0.05.
-	Alpha float64
-	// ObservationTime is the collection window (the paper gives CPVSAD
-	// 10 s). Informational; the caller slices windows.
-	ObservationTime time.Duration
-	// MinSamples is the minimum pooled sample count to run the test;
-	// zero means 10.
-	MinSamples int
-	// AssumedTxPowerDBm is the transmit power the verifier assumes for
+// The verifier's test parameters: the paper's comparison setting.
+const (
+	// sigmaDB is the shadowing standard deviation assumed by the test.
+	sigmaDB = 3.9
+	// alpha is the test significance level.
+	alpha = 0.05
+	// minSamples is the minimum pooled sample count to run the test.
+	minSamples = 10
+	// assumedTxPowerDBm is the transmit power the verifier assumes for
 	// every sender (CPVSAD predates per-identity power spoofing; 20 dBm
-	// EIRP is the DSRC default). Zero means 20.
-	AssumedTxPowerDBm float64
-	// EffectiveSamplesPerWindow is the number of effectively independent
-	// shadowing draws a witness's window provides (shadowing decorrelates
-	// with distance moved, ~5 decorrelation lengths per 10 s window at
-	// highway speeds). Zero means 5.
-	EffectiveSamplesPerWindow int
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.Model == nil {
-		return errors.New("baseline: CPVSAD needs a propagation model")
-	}
-	if c.SigmaDB < 0 {
-		return errors.New("baseline: sigma must be non-negative")
-	}
-	if c.Alpha < 0 || c.Alpha >= 1 {
-		return errors.New("baseline: alpha must be in [0,1)")
-	}
-	if c.MinSamples < 0 {
-		return errors.New("baseline: MinSamples must be non-negative")
-	}
-	return nil
-}
+	// EIRP is the DSRC default).
+	assumedTxPowerDBm = 20
+	// effectiveSamplesPerWindow is the number of effectively
+	// independent shadowing draws a witness's window provides (shadowing
+	// decorrelates with distance moved, ~5 decorrelation lengths per
+	// 10 s window at highway speeds).
+	effectiveSamplesPerWindow = 5
+)
 
 // Detector is a CPVSAD verifier.
 type Detector struct {
-	cfg Config
+	// model is the predefined propagation model the verifier assumes.
+	model radio.Model
 }
 
-// New builds a Detector, applying the paper's defaults.
-func New(cfg Config) (*Detector, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// New builds a Detector that assumes model (the paper's comparison uses
+// shadowing with sigma 3.9 dB).
+func New(model radio.Model) (*Detector, error) {
+	if model == nil {
+		return nil, errors.New("baseline: CPVSAD needs a propagation model")
 	}
-	if cfg.SigmaDB == 0 {
-		cfg.SigmaDB = 3.9
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.05
-	}
-	if cfg.MinSamples == 0 {
-		cfg.MinSamples = 10
-	}
-	if cfg.AssumedTxPowerDBm == 0 {
-		cfg.AssumedTxPowerDBm = 20
-	}
-	if cfg.EffectiveSamplesPerWindow == 0 {
-		cfg.EffectiveSamplesPerWindow = 5
-	}
-	if cfg.EffectiveSamplesPerWindow < 0 {
-		return nil, errors.New("baseline: effective samples must be positive")
-	}
-	return &Detector{cfg: cfg}, nil
+	return &Detector{model: model}, nil
 }
 
 // WitnessReport is what one witness contributes for one claimer: each
@@ -128,7 +86,7 @@ type Result struct {
 
 // expectedRSSI is the model's predicted received power at distance d.
 func (d *Detector) expectedRSSI(dist float64) float64 {
-	return radio.RxPowerDBm(d.cfg.AssumedTxPowerDBm, 0, d.cfg.Model.MeanPathLossDB(dist))
+	return radio.RxPowerDBm(assumedTxPowerDBm, 0, d.model.MeanPathLossDB(dist))
 }
 
 // Deviation returns observed minus expected RSSI for one beacon heard at
@@ -161,11 +119,11 @@ func (d *Detector) Detect(own map[vanet.NodeID]*WitnessReport, witnesses []map[v
 				continue
 			}
 			mean := stats.Mean(r.Deviations)
-			nEff := d.cfg.EffectiveSamplesPerWindow
+			nEff := effectiveSamplesPerWindow
 			if len(r.Deviations) < nEff {
 				nEff = len(r.Deviations)
 			}
-			z := mean * sqrtFloat(float64(nEff)) / d.cfg.SigmaDB
+			z := mean * sqrtFloat(float64(nEff)) / sigmaDB
 			p := 2 * (1 - stats.NormalCDF(abs(z), 0, 1))
 			pvalues[id] = append(pvalues[id], p)
 			samples[id] += len(r.Deviations)
@@ -176,12 +134,12 @@ func (d *Detector) Detect(own map[vanet.NodeID]*WitnessReport, witnesses []map[v
 		merge(w)
 	}
 	for id, ps := range pvalues {
-		if samples[id] < d.cfg.MinSamples {
+		if samples[id] < minSamples {
 			res.Skipped++
 			continue
 		}
 		res.Tested = append(res.Tested, id)
-		verdict, err := stats.FisherCombine(ps, d.cfg.Alpha)
+		verdict, err := stats.FisherCombine(ps, alpha)
 		if err != nil {
 			return nil, err
 		}
@@ -211,6 +169,3 @@ func (d *Detector) ReportFromLog(obs []vanet.Obs) *WitnessReport {
 	}
 	return r
 }
-
-// Config returns the effective configuration.
-func (d *Detector) Config() Config { return d.cfg }

@@ -14,7 +14,7 @@ func testModel() radio.Model {
 
 func newDetector(t *testing.T) *Detector {
 	t.Helper()
-	d, err := New(Config{Model: testModel()})
+	d, err := New(testModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,22 +43,8 @@ func sybilReport(d *Detector, n int, trueDist, claimedDist float64, model radio.
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("missing model should error")
-	}
-	if _, err := New(Config{Model: testModel(), SigmaDB: -1}); err == nil {
-		t.Error("negative sigma should error")
-	}
-	if _, err := New(Config{Model: testModel(), Alpha: 1}); err == nil {
-		t.Error("alpha 1 should error")
-	}
-	if _, err := New(Config{Model: testModel(), MinSamples: -1}); err == nil {
-		t.Error("negative MinSamples should error")
-	}
-	d := newDetector(t)
-	cfg := d.Config()
-	if cfg.SigmaDB != 3.9 || cfg.Alpha != 0.05 || cfg.MinSamples != 10 || cfg.AssumedTxPowerDBm != 20 {
-		t.Errorf("defaults not applied: %+v", cfg)
 	}
 }
 

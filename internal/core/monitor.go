@@ -27,8 +27,8 @@ import (
 type Monitor struct {
 	mu        sync.Mutex
 	det       *Detector
-	estimator *DensityEstimator
-	confirmer *Confirmer
+	estimator *DensityEstimator // voiceprintvet:guardedby mu
+	confirmer *Confirmer        // voiceprintvet:guardedby mu
 	// obsv mirrors the detector config's Observer so the window-
 	// extraction stage (which runs here, before the detector) reports
 	// through the same hook.
@@ -81,9 +81,9 @@ type MonitorConfig struct {
 	// relative to the newest observation and still be accepted by
 	// Observe (clamped forward to the monitor clock); anything older is
 	// rejected with ErrTimeBackwards. Zero or negative keeps strict
-	// monotonicity — the offline/batch default. Network ingest paths set
-	// a few beacon intervals so slightly late deliveries do not poison
-	// the stream.
+	// monotonicity — the offline/batch default. The service registry
+	// turns zero into a few beacon intervals so slightly late network
+	// deliveries do not poison the stream.
 	ReorderTolerance time.Duration
 	// Deprecated: DisablePairCache has no effect; the dirty-pair cache it
 	// switched off was removed. It is kept only because the benchmark
@@ -206,7 +206,9 @@ func (m *Monitor) observeLocked(id vanet.NodeID, t time.Duration, rssi float64, 
 	}
 	if t < m.now {
 		if m.now-t > m.tolerance {
-			return fmt.Errorf("%w: %v after %v", ErrTimeBackwards, t, m.now)
+			// The bare sentinel: the service drops stale beacons on the
+			// ingest path, where wrapping would allocate per beacon.
+			return ErrTimeBackwards
 		}
 		t = m.now
 	}

@@ -12,11 +12,11 @@ import (
 
 // Signal is one pluggable detection signal: a pure function from one
 // round's windowed evidence to per-identity verdicts and scores. The
-// Voiceprint DTW pipeline is the first Signal (VoiceprintSignal); the
-// fusion package adds claimed-position consistency and, at the service
-// layer, cross-receiver clique grouping. The Monitor runs every
-// configured Signal over the same observation window each round and
-// fuses the suspect sets.
+// Monitor runs the Voiceprint DTW pipeline itself, attributed as
+// SignalName, then every configured Signal over the same observation
+// window, and fuses the suspect sets. The fusion package adds
+// claimed-position consistency and, at the service layer,
+// cross-receiver clique grouping.
 //
 // Contract: Analyze must be deterministic — a pure function of the
 // input — and must treat the input as read-only (Series are zero-copy
@@ -73,9 +73,6 @@ type SignalResult struct {
 	// judge, ascending. Fusion unions these into Result.Considered so a
 	// flagged identity is always accounted in the round it was flagged.
 	Tested []vanet.NodeID
-	// Pairs optionally carries per-pair evidence (the voiceprint signal
-	// reports its DTW comparisons here).
-	Pairs []PairDistance
 	// Skipped counts identities with too little evidence to judge.
 	Skipped int
 }
@@ -90,17 +87,15 @@ type FusionOptions struct {
 	Enabled bool
 	// Signals are the additional per-receiver signals, run in order
 	// after the built-in Voiceprint comparison each round. Each must
-	// have a unique non-empty Name; signals that also implement
-	// Validate() error are validated at monitor construction.
+	// have a unique non-empty Name.
 	Signals []Signal
 }
 
 // SignalName is the attribution key of the built-in DTW signal.
 const SignalName = "voiceprint"
 
-// Validate rejects malformed fusion configurations: nil signals,
-// duplicate or reserved names, and — via each signal's own Validate —
-// non-finite thresholds.
+// Validate rejects malformed fusion configurations: nil signals and
+// empty, duplicate or reserved names.
 func (o FusionOptions) Validate() error {
 	if !o.Enabled {
 		if len(o.Signals) > 0 {
@@ -122,50 +117,8 @@ func (o FusionOptions) Validate() error {
 			return fmt.Errorf("core: duplicate fusion signal name %q", name)
 		}
 		seen[name] = true
-		if v, ok := s.(interface{ Validate() error }); ok {
-			if err := v.Validate(); err != nil {
-				return fmt.Errorf("core: fusion signal %q: %w", name, err)
-			}
-		}
 	}
 	return nil
-}
-
-// VoiceprintSignal re-expresses the monolithic DTW compare path as a
-// Signal: Z-score normalization, pairwise banded DTW, Equation 8 batch
-// normalization and the density-adaptive LDA boundary. Its suspect set
-// and pair evidence are bit-identical to Detector.Detect over the same
-// input — the adapter adds only the per-identity score projection.
-type VoiceprintSignal struct {
-	det *Detector
-}
-
-// NewVoiceprintSignal builds the signal from a detector configuration.
-func NewVoiceprintSignal(cfg Config) (*VoiceprintSignal, error) {
-	det, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &VoiceprintSignal{det: det}, nil
-}
-
-// Name implements Signal.
-func (s *VoiceprintSignal) Name() string { return SignalName }
-
-// Analyze implements Signal by running the DTW round over the windowed
-// series. Claims are unused: Voiceprint is the position-free signal.
-func (s *VoiceprintSignal) Analyze(in *SignalInput) (*SignalResult, error) {
-	res, err := s.det.Detect(in.Series, in.Density)
-	if err != nil {
-		return nil, err
-	}
-	return &SignalResult{
-		Suspects: res.Suspects,
-		Scores:   VoiceprintScores(res.Pairs, nil),
-		Tested:   res.Considered,
-		Pairs:    res.Pairs,
-		Skipped:  res.Skipped,
-	}, nil
 }
 
 // VoiceprintScores projects pair evidence onto identities: each flagged

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,70 +10,15 @@ import (
 	"voiceprint/internal/vanet"
 )
 
-// TestVoiceprintSignalBitIdentity: the Signal adapter must reproduce the
-// monolithic Detector.Detect verdict exactly — same suspects, same pair
-// evidence, same considered set — over the same windowed series. The
-// whole fusion redesign rests on this equivalence.
-func TestVoiceprintSignalBitIdentity(t *testing.T) {
-	cfg := DefaultConfig(testBoundary())
-	cfg.MinMedianRSSIDBm = 0
-	det, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig, err := NewVoiceprintSignal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sig.Name() != SignalName {
-		t.Fatalf("signal name = %q, want %q", sig.Name(), SignalName)
-	}
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 10; trial++ {
-		series := sybilCluster(rng, 5)
-		want, err := det.Detect(series, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sig.Analyze(&SignalInput{Series: series, Density: 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Suspects, want.Suspects) {
-			t.Errorf("trial %d: suspects %v != detector %v", trial, got.Suspects, want.Suspects)
-		}
-		if !reflect.DeepEqual(got.Pairs, want.Pairs) {
-			t.Errorf("trial %d: pair evidence diverged", trial)
-		}
-		if !reflect.DeepEqual(got.Tested, want.Considered) {
-			t.Errorf("trial %d: tested %v != considered %v", trial, got.Tested, want.Considered)
-		}
-		if got.Skipped != want.Skipped {
-			t.Errorf("trial %d: skipped %d != %d", trial, got.Skipped, want.Skipped)
-		}
-		for id, s := range got.Scores {
-			if !want.Suspects[id] {
-				t.Errorf("trial %d: score for unflagged %d", trial, id)
-			}
-			if math.IsNaN(s) || math.IsInf(s, 0) {
-				t.Errorf("trial %d: non-finite score for %d", trial, id)
-			}
-		}
-	}
-}
-
 // stubSignal is a minimal Signal for option-validation and fusion-path
 // tests.
 type stubSignal struct {
 	name    string
 	flag    vanet.NodeID
-	valErr  error
 	analyze func(*SignalInput) (*SignalResult, error)
 }
 
 func (s stubSignal) Name() string { return s.name }
-
-func (s stubSignal) Validate() error { return s.valErr }
 
 func (s stubSignal) Analyze(in *SignalInput) (*SignalResult, error) {
 	if s.analyze != nil {
@@ -102,8 +46,6 @@ func TestFusionOptionsValidate(t *testing.T) {
 		{"empty name", FusionOptions{Enabled: true, Signals: []Signal{stubSignal{}}}, "empty name"},
 		{"reserved name", FusionOptions{Enabled: true, Signals: []Signal{stubSignal{name: SignalName}}}, "duplicate"},
 		{"duplicate name", FusionOptions{Enabled: true, Signals: []Signal{ok, ok}}, "duplicate"},
-		{"failing validate", FusionOptions{Enabled: true,
-			Signals: []Signal{stubSignal{name: "bad", valErr: ErrNonFiniteRSSI}}}, "bad"},
 	}
 	for _, tc := range cases {
 		err := tc.opts.Validate()
@@ -172,6 +114,22 @@ func TestMonitorFusionAttribution(t *testing.T) {
 	attr := res.Signals[55]
 	if attr == nil || attr["stub"] != 1 {
 		t.Errorf("attribution for 55 = %v, want stub score 1", attr)
+	}
+	// Voiceprint attribution (VoiceprintScores) covers flagged
+	// identities only, each with a finite normalized distance.
+	vp := 0
+	for id, attr := range res.Signals {
+		s, ok := attr[SignalName]
+		if !ok {
+			continue
+		}
+		vp++
+		if !res.Suspects[id] || math.IsNaN(s) || math.IsInf(s, 0) {
+			t.Errorf("voiceprint attribution %v for %d (suspect %v)", s, id, res.Suspects[id])
+		}
+	}
+	if vp == 0 {
+		t.Errorf("no voiceprint attribution in %v", res.Signals)
 	}
 
 	// Fusion off: same stream, no Signals map, no stub flag.

@@ -50,15 +50,6 @@ func (r *Fig10Result) DetectorConfig() core.Config {
 	return cfg
 }
 
-// DefaultFig10Config returns the paper's training setup.
-func DefaultFig10Config(seed int64) Fig10Config {
-	return Fig10Config{
-		Densities:      []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100},
-		RunsPerDensity: 5,
-		Seed:           seed,
-	}
-}
-
 // capFlagWeight is the false-flag cost used to train the absolute cap.
 const capFlagWeight = 100
 

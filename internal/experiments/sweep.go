@@ -342,12 +342,7 @@ func distanceBetween(a, b *vanet.Node) float64 {
 // it assumes the *initial* simulation channel with sigma 3.9 dB — correct
 // in Figure 11a, stale under the Figure 11b parameter drift.
 func NewCPVSAD() (*baseline.Detector, error) {
-	return baseline.New(baseline.Config{
-		Model:           baseSimModel(),
-		SigmaDB:         3.9,
-		Alpha:           0.05,
-		ObservationTime: 10 * time.Second,
-	})
+	return baseline.New(baseSimModel())
 }
 
 func sortedLogKeys(logs map[int]*vanet.ReceptionLog) []int {

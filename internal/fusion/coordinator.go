@@ -1,7 +1,6 @@
 package fusion
 
 import (
-	"fmt"
 	"sort"
 
 	"voiceprint/internal/core"
@@ -14,40 +13,18 @@ import (
 // 1-based clique index within the sweep.
 const CliqueSignalName = "clique"
 
-// CoordinatorConfig tunes the cross-receiver clique grouping.
-type CoordinatorConfig struct {
-	// PosQuorum is how many receivers must position-flag an identity in
-	// the same sweep for it to anchor a clique conviction. Zero means 2.
-	PosQuorum int
-	// EdgeQuorum is how many receivers must voiceprint-flag the same
-	// identity pair for the pair to become a co-observation edge. Zero
-	// means 2.
-	EdgeQuorum int
-	// MinClique is the smallest clique treated as a coordinated group.
-	// Zero means 2.
-	MinClique int
-}
-
-// Validate rejects nonsensical quorums.
-func (c CoordinatorConfig) Validate() error {
-	if c.PosQuorum < 0 || c.EdgeQuorum < 0 || c.MinClique < 0 {
-		return fmt.Errorf("fusion: negative coordinator quorum")
-	}
-	return nil
-}
-
-func (c CoordinatorConfig) fill() CoordinatorConfig {
-	if c.PosQuorum == 0 {
-		c.PosQuorum = 2
-	}
-	if c.EdgeQuorum == 0 {
-		c.EdgeQuorum = 2
-	}
-	if c.MinClique == 0 {
-		c.MinClique = 2
-	}
-	return c
-}
+// The clique grouping's quorums, fixed like the position signal's
+// thresholds.
+const (
+	// posQuorum is how many receivers must position-flag an identity in
+	// the same sweep for it to anchor a clique conviction.
+	posQuorum = 2
+	// edgeQuorum is how many receivers must voiceprint-flag the same
+	// identity pair for the pair to become a co-observation edge.
+	edgeQuorum = 2
+	// minClique is the smallest clique treated as a coordinated group.
+	minClique = 2
+)
 
 // Coordinator is the cross-receiver fusion stage: it runs over one
 // synchronized detection sweep (service.Server.DetectNow) and groups
@@ -57,24 +34,16 @@ func (c CoordinatorConfig) fill() CoordinatorConfig {
 // build the graph — two identities repeatedly DTW-matching at multiple
 // receivers is strong same-transmitter evidence — but a clique is only
 // convicted when it contains at least one identity independently
-// position-flagged by PosQuorum receivers. Raw voiceprint flags are
+// position-flagged by posQuorum receivers. Raw voiceprint flags are
 // never propagated cross-receiver on their own: a false pair match at
 // one receiver would otherwise snowball into fleet-wide false
 // positives. The booster also only ever flags identities the target
 // receiver already considered this round, so every added suspect is
 // accounted in that round's denominator.
-type Coordinator struct {
-	cfg CoordinatorConfig
-}
+type Coordinator struct{}
 
 // NewCoordinator builds a Coordinator.
-func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	cfg = cfg.fill()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Coordinator{cfg: cfg}, nil
-}
+func NewCoordinator() *Coordinator { return &Coordinator{} }
 
 // edge is an unordered identity pair (A < B).
 type edge struct {
@@ -95,7 +64,6 @@ func (c *Coordinator) Coordinate(outs []service.RoundOutcome) []service.RoundOut
 			continue
 		}
 		sids := make([]vanet.NodeID, 0, len(res.Signals))
-		//voiceprintvet:ignore nondeterminism collected IDs are sorted immediately below
 		for id := range res.Signals {
 			sids = append(sids, id)
 		}
@@ -121,7 +89,6 @@ func (c *Coordinator) Coordinate(outs []service.RoundOutcome) []service.RoundOut
 	// greedy maximal cliques.
 	adj := make(map[vanet.NodeID]map[vanet.NodeID]bool)
 	ekeys := make([]edge, 0, len(edges))
-	//voiceprintvet:ignore nondeterminism collected edges are sorted immediately below
 	for e := range edges {
 		ekeys = append(ekeys, e)
 	}
@@ -132,7 +99,7 @@ func (c *Coordinator) Coordinate(outs []service.RoundOutcome) []service.RoundOut
 		return ekeys[x].b < ekeys[y].b
 	})
 	for _, e := range ekeys {
-		if edges[e] < c.cfg.EdgeQuorum {
+		if edges[e] < edgeQuorum {
 			continue
 		}
 		if adj[e.a] == nil {
@@ -151,12 +118,12 @@ func (c *Coordinator) Coordinate(outs []service.RoundOutcome) []service.RoundOut
 	// receiver that considered it this round.
 	convicted := make(map[vanet.NodeID]float64) // id -> 1-based clique index
 	for ci, clique := range cliques {
-		if len(clique) < c.cfg.MinClique {
+		if len(clique) < minClique {
 			continue
 		}
 		anchored := false
 		for _, id := range clique {
-			if votes[id] >= c.cfg.PosQuorum {
+			if votes[id] >= posQuorum {
 				anchored = true
 				break
 			}
@@ -172,7 +139,6 @@ func (c *Coordinator) Coordinate(outs []service.RoundOutcome) []service.RoundOut
 		return outs
 	}
 	cids := make([]vanet.NodeID, 0, len(convicted))
-	//voiceprintvet:ignore nondeterminism collected IDs are sorted immediately below
 	for id := range convicted {
 		cids = append(cids, id)
 	}
@@ -218,7 +184,6 @@ func considered(res *core.Result, id vanet.NodeID) bool {
 // — so the greedy grouping recovers them whole.
 func greedyCliques(adj map[vanet.NodeID]map[vanet.NodeID]bool) [][]vanet.NodeID {
 	nodes := make([]vanet.NodeID, 0, len(adj))
-	//voiceprintvet:ignore nondeterminism collected IDs are sorted immediately below
 	for id := range adj {
 		nodes = append(nodes, id)
 	}

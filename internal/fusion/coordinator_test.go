@@ -30,10 +30,7 @@ func outcomeWith(recv vanet.NodeID, considered []vanet.NodeID, pairs [][2]vanet.
 }
 
 func TestCoordinatorConvictsAnchoredClique(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := NewCoordinator()
 	all := []vanet.NodeID{1, 2, 101, 102, 103}
 	triangle := [][2]vanet.NodeID{{101, 102}, {101, 103}, {102, 103}}
 	// Receivers A and B each see the full triangle (edge quorum 2) and
@@ -60,10 +57,7 @@ func TestCoordinatorConvictsAnchoredClique(t *testing.T) {
 }
 
 func TestCoordinatorRequiresPositionAnchor(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := NewCoordinator()
 	all := []vanet.NodeID{101, 102, 103}
 	triangle := [][2]vanet.NodeID{{101, 102}, {101, 103}, {102, 103}}
 	// Strong voiceprint agreement but no position-flagged member: raw
@@ -89,10 +83,7 @@ func TestCoordinatorRequiresPositionAnchor(t *testing.T) {
 }
 
 func TestCoordinatorEdgeQuorum(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := NewCoordinator()
 	all := []vanet.NodeID{101, 102}
 	pair := [][2]vanet.NodeID{{101, 102}}
 	// Only one receiver flags the pair: below the edge quorum, the graph
@@ -108,10 +99,7 @@ func TestCoordinatorEdgeQuorum(t *testing.T) {
 }
 
 func TestCoordinatorBoostsOnlyConsidered(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := NewCoordinator()
 	all := []vanet.NodeID{101, 102, 103}
 	triangle := [][2]vanet.NodeID{{101, 102}, {101, 103}, {102, 103}}
 	outs := []service.RoundOutcome{
@@ -132,10 +120,7 @@ func TestCoordinatorBoostsOnlyConsidered(t *testing.T) {
 }
 
 func TestCoordinatorNoFindingsIsIdentity(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := NewCoordinator()
 	outs := []service.RoundOutcome{
 		outcomeWith(901, []vanet.NodeID{1, 2}, nil, nil),
 		{Recv: 902}, // errored round: nil Result must be tolerated
@@ -143,18 +128,5 @@ func TestCoordinatorNoFindingsIsIdentity(t *testing.T) {
 	fused := coord.Coordinate(outs)
 	if !reflect.DeepEqual(fused, outs) {
 		t.Error("coordinator with nothing to convict must return outcomes unchanged")
-	}
-}
-
-func TestCoordinatorConfigValidate(t *testing.T) {
-	if _, err := NewCoordinator(CoordinatorConfig{PosQuorum: -1}); err == nil {
-		t.Error("negative quorum accepted")
-	}
-	c, err := NewCoordinator(CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.cfg.PosQuorum != 2 || c.cfg.EdgeQuorum != 2 || c.cfg.MinClique != 2 {
-		t.Errorf("defaults = %+v, want quorums of 2", c.cfg)
 	}
 }

@@ -11,7 +11,6 @@
 package fusion
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -25,135 +24,53 @@ import (
 // PositionSignalName is the attribution key of the position signal.
 const PositionSignalName = "position"
 
-// PositionConfig tunes the claimed-position consistency signal. The zero
-// value selects defaults suitable for the highway scenarios.
-type PositionConfig struct {
-	// Model is the assumed propagation model used to invert RSSI into an
-	// expected level at the claimed range. Nil means the paper's
-	// dual-slope highway fit. The monitor does not know the true channel;
-	// the robust centering below absorbs a wrong assumed model as long as
-	// it is wrong for everyone equally.
-	Model radio.Model
-	// AssumedTxPowerDBm is the transmit power the check assumes for every
-	// sender (the DSRC beacon default). Zero means 20 dBm.
-	AssumedTxPowerDBm float64
-	// MinSamples is the fewest claim samples in the window needed to run
-	// the mean-deviation test for an identity. Zero means 8.
-	MinSamples int
-	// MinCohort is the fewest testable identities needed before the
+// The position signal's thresholds. They are fixed: the graded fusion
+// posture (SCORECARD_fusion.json) is this one, and `voiceprintd -fusion`
+// deploys exactly it.
+const (
+	// assumedTxPowerDBm is the transmit power the check assumes for
+	// every sender (the DSRC beacon default).
+	assumedTxPowerDBm = 20
+	// minClaimSamples is the fewest claim samples in the window needed
+	// to run the mean-deviation test for an identity.
+	minClaimSamples = 8
+	// minCohort is the fewest testable identities needed before the
 	// cross-identity robust centering is meaningful. Below it the round
-	// runs only the teleport test. Zero means 4.
-	MinCohort int
-	// Alpha is the per-identity significance level of the chi-square
-	// deviation test. Zero means 0.001 — deliberately strict, because a
-	// position flag both convicts directly and anchors clique
-	// convictions, so its false positives are the expensive kind.
-	Alpha float64
-	// MinScaleDB floors the robust deviation scale, so a freakishly
-	// homogeneous round cannot turn noise into significance. Zero means
-	// 2 dB.
-	MinScaleDB float64
-	// MinJumpM and MaxSpeedMS define the teleport test: two consecutive
-	// claims further apart than MinJumpM whose apparent speed exceeds
-	// MaxSpeedMS flag the identity (a colluding-handoff position jump).
+	// runs only the teleport and correlation tests.
+	minCohort = 4
+	// alpha is the per-identity significance level of the chi-square
+	// deviation test — deliberately strict, because a position flag
+	// both convicts directly and anchors clique convictions, so its
+	// false positives are the expensive kind.
+	alpha = 0.001
+	// minScaleDB floors the robust deviation scale, so a freakishly
+	// homogeneous round cannot turn noise into significance.
+	minScaleDB = 2
+	// minJumpM and maxSpeedMS define the teleport test: two consecutive
+	// claims further apart than minJumpM whose apparent speed exceeds
+	// maxSpeedMS flag the identity (a colluding-handoff position jump).
 	// The speed is apparent — claimed motion plus receiver motion — so
-	// MaxSpeedMS must sit above twice the fastest plausible vehicle.
-	// Zeros mean 60 m and 120 m/s.
-	MinJumpM   float64
-	MaxSpeedMS float64
-	// CorrBucket, MinCommonBuckets, CorrThreshold and MinCorrStdDB tune
+	// maxSpeedMS sits above twice the fastest plausible vehicle.
+	minJumpM   = 60
+	maxSpeedMS = 120
+	// corrBucket, minCommonBuckets, corrThreshold and minCorrStdDB tune
 	// the residual-correlation test (see Analyze): deviation series are
-	// averaged into CorrBucket bins, and a pair of identities sharing at
-	// least MinCommonBuckets bins whose residuals correlate at or above
-	// CorrThreshold — each with at least MinCorrStdDB of variation, so a
-	// flat series cannot fake agreement — is flagged. Zeros mean 1 s,
-	// 10 buckets, 0.93 and 0.5 dB.
-	CorrBucket       time.Duration
-	MinCommonBuckets int
-	CorrThreshold    float64
-	MinCorrStdDB     float64
-}
+	// averaged into corrBucket bins, and a pair of identities sharing at
+	// least minCommonBuckets bins whose residuals correlate at or above
+	// corrThreshold — each with at least minCorrStdDB of variation, so a
+	// flat series cannot fake agreement — is flagged.
+	corrBucket       = time.Second
+	minCommonBuckets = 10
+	corrThreshold    = 0.93
+	minCorrStdDB     = 0.5
+)
 
-// Validate rejects non-finite or nonsensical thresholds. It is called by
-// core.FusionOptions.Validate at monitor construction.
-func (c PositionConfig) Validate() error {
-	for _, f := range [...]struct {
-		name string
-		v    float64
-	}{
-		{"assumed tx power", c.AssumedTxPowerDBm},
-		{"alpha", c.Alpha},
-		{"min scale", c.MinScaleDB},
-		{"min jump", c.MinJumpM},
-		{"max speed", c.MaxSpeedMS},
-		{"correlation threshold", c.CorrThreshold},
-		{"correlation min std", c.MinCorrStdDB},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("fusion: non-finite %s", f.name)
-		}
-	}
-	if c.Alpha < 0 || c.Alpha >= 1 {
-		return fmt.Errorf("fusion: alpha %v outside [0, 1)", c.Alpha)
-	}
-	if c.MinScaleDB < 0 {
-		return fmt.Errorf("fusion: negative min scale %v", c.MinScaleDB)
-	}
-	if c.MinSamples < 0 || c.MinCohort < 0 {
-		return fmt.Errorf("fusion: negative sample bounds")
-	}
-	if c.MinJumpM < 0 || c.MaxSpeedMS < 0 {
-		return fmt.Errorf("fusion: negative teleport thresholds")
-	}
-	if c.CorrThreshold < 0 || c.CorrThreshold > 1 {
-		return fmt.Errorf("fusion: correlation threshold %v outside [0, 1]", c.CorrThreshold)
-	}
-	if c.CorrBucket < 0 || c.MinCommonBuckets < 0 || c.MinCorrStdDB < 0 {
-		return fmt.Errorf("fusion: negative correlation bounds")
-	}
-	return nil
-}
-
-// fill resolves zero fields to defaults.
-func (c PositionConfig) fill() PositionConfig {
-	if c.Model == nil {
-		c.Model = radio.DualSlope{Params: radio.HighwayParams}
-	}
-	if c.AssumedTxPowerDBm <= 0 {
-		c.AssumedTxPowerDBm = 20
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 8
-	}
-	if c.MinCohort == 0 {
-		c.MinCohort = 4
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.001
-	}
-	if c.MinScaleDB <= 0 {
-		c.MinScaleDB = 2
-	}
-	if c.MinJumpM <= 0 {
-		c.MinJumpM = 60
-	}
-	if c.MaxSpeedMS <= 0 {
-		c.MaxSpeedMS = 120
-	}
-	if c.CorrBucket <= 0 {
-		c.CorrBucket = time.Second
-	}
-	if c.MinCommonBuckets == 0 {
-		c.MinCommonBuckets = 10
-	}
-	if c.CorrThreshold <= 0 {
-		c.CorrThreshold = 0.93
-	}
-	if c.MinCorrStdDB <= 0 {
-		c.MinCorrStdDB = 0.5
-	}
-	return c
-}
+// assumedModel is the propagation model used to invert RSSI into an
+// expected level at the claimed range: the paper's dual-slope highway
+// fit. The monitor does not know the true channel; the robust centering
+// absorbs a wrong assumed model as long as it is wrong for everyone
+// equally.
+var assumedModel radio.Model = radio.DualSlope{Params: radio.HighwayParams}
 
 // PositionSignal checks each identity's claimed positions against the
 // RSSI its beacons actually arrived at. For every claim the deviation is
@@ -166,7 +83,7 @@ func (c PositionConfig) fill() PositionConfig {
 // The per-identity window means are centered by the round's median and
 // scaled by the MAD — self-calibrating against assumed-model mismatch
 // (a tunnel shifts every deviation together; the median absorbs it) —
-// and the resulting z² is tested chi-square(1) at Alpha. Two further
+// and the resulting z² is tested chi-square(1) at alpha. Two further
 // tests run alongside: a teleport test flags claimed jumps no physical
 // vehicle could make, and a residual-correlation test flags identity
 // pairs whose deviation series move in lockstep. The latter exploits
@@ -175,43 +92,23 @@ func (c PositionConfig) fill() PositionConfig {
 // share one shadow trace — and, because it compares only the samples
 // both identities have, it stays sharp for short-lived (churned)
 // identities whose partial window overlap defeats whole-window DTW.
-type PositionSignal struct {
-	cfg PositionConfig
-}
+type PositionSignal struct{}
 
-// NewPositionSignal builds the signal, validating and filling defaults.
-// The raw config is validated before defaults resolve, so a negative or
-// non-finite threshold is rejected rather than silently replaced.
-func NewPositionSignal(cfg PositionConfig) (*PositionSignal, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.fill()
-	if v, ok := cfg.Model.(interface{ Validate() error }); ok {
-		if err := v.Validate(); err != nil {
-			return nil, fmt.Errorf("fusion: position model: %w", err)
-		}
-	}
-	return &PositionSignal{cfg: cfg}, nil
-}
+// NewPositionSignal builds the signal.
+func NewPositionSignal() *PositionSignal { return &PositionSignal{} }
 
 // Name implements core.Signal.
 func (s *PositionSignal) Name() string { return PositionSignalName }
 
-// Validate implements the optional validation hook core.FusionOptions
-// calls at monitor construction.
-func (s *PositionSignal) Validate() error { return s.cfg.Validate() }
-
 // expectedRSSI is the level a beacon from the claimed range should
 // arrive at under the assumed model and transmit power.
 func (s *PositionSignal) expectedRSSI(claimedRange float64) float64 {
-	return radio.RxPowerDBm(s.cfg.AssumedTxPowerDBm, 0, s.cfg.Model.MeanPathLossDB(claimedRange))
+	return radio.RxPowerDBm(assumedTxPowerDBm, 0, assumedModel.MeanPathLossDB(claimedRange))
 }
 
 // Analyze implements core.Signal.
 func (s *PositionSignal) Analyze(in *core.SignalInput) (*core.SignalResult, error) {
 	ids := make([]vanet.NodeID, 0, len(in.Claims))
-	//voiceprintvet:ignore nondeterminism collected IDs are sorted immediately below
 	for id := range in.Claims {
 		ids = append(ids, id)
 	}
@@ -237,7 +134,7 @@ func (s *PositionSignal) Analyze(in *core.SignalInput) (*core.SignalResult, erro
 		if speed, jumped := s.teleported(claims); jumped {
 			teleport[id] = speed
 		}
-		if len(claims) < s.cfg.MinSamples {
+		if len(claims) < minClaimSamples {
 			if _, t := teleport[id]; !t {
 				res.Skipped++
 			}
@@ -249,9 +146,9 @@ func (s *PositionSignal) Analyze(in *core.SignalInput) (*core.SignalResult, erro
 	}
 
 	// Pass 2: robust centering across the round's identities, then the
-	// chi-square deviation test. Skipped entirely below MinCohort — with
+	// chi-square deviation test. Skipped entirely below minCohort — with
 	// too few identities the median and MAD describe nothing.
-	if len(cohort) >= s.cfg.MinCohort {
+	if len(cohort) >= minCohort {
 		devs := make([]float64, len(cohort))
 		for i := range cohort {
 			devs[i] = cohort[i].mean
@@ -261,15 +158,15 @@ func (s *PositionSignal) Analyze(in *core.SignalInput) (*core.SignalResult, erro
 			devs[i] = math.Abs(devs[i] - med)
 		}
 		scale := 1.4826 * median(devs)
-		if scale < s.cfg.MinScaleDB {
-			scale = s.cfg.MinScaleDB
+		if scale < minScaleDB {
+			scale = minScaleDB
 		}
 		for _, t := range cohort {
 			z := (t.mean - med) / scale
 			chi2 := z * z
 			res.Scores[t.id] = chi2
 			res.Tested = append(res.Tested, t.id)
-			if 1-stats.ChiSquareCDF(chi2, 1) < s.cfg.Alpha {
+			if 1-stats.ChiSquareCDF(chi2, 1) < alpha {
 				res.Suspects[t.id] = true
 			}
 		}
@@ -283,8 +180,8 @@ func (s *PositionSignal) Analyze(in *core.SignalInput) (*core.SignalResult, erro
 	for i := 0; i < len(cohort); i++ {
 		for j := i + 1; j < len(cohort); j++ {
 			r, n := pairCorrelation(cohort[i].buckets, cohort[i].devs,
-				cohort[j].buckets, cohort[j].devs, s.cfg.MinCorrStdDB)
-			if n < s.cfg.MinCommonBuckets || r < s.cfg.CorrThreshold {
+				cohort[j].buckets, cohort[j].devs, minCorrStdDB)
+			if n < minCommonBuckets || r < corrThreshold {
 				continue
 			}
 			for _, t := range [...]tested{cohort[i], cohort[j]} {
@@ -300,7 +197,6 @@ func (s *PositionSignal) Analyze(in *core.SignalInput) (*core.SignalResult, erro
 	// Teleport verdicts: flagged regardless of the mean test, with the
 	// apparent speed as the score when no chi-square was computed.
 	tids := make([]vanet.NodeID, 0, len(teleport))
-	//voiceprintvet:ignore nondeterminism collected IDs are sorted immediately below
 	for id := range teleport {
 		tids = append(tids, id)
 	}
@@ -322,7 +218,7 @@ func (s *PositionSignal) teleported(claims []core.ClaimSample) (float64, bool) {
 	worst, jumped := 0.0, false
 	for i := 1; i < len(claims); i++ {
 		jump := math.Hypot(claims[i].X-claims[i-1].X, claims[i].Y-claims[i-1].Y)
-		if jump < s.cfg.MinJumpM {
+		if jump < minJumpM {
 			continue
 		}
 		dt := (claims[i].T - claims[i-1].T).Seconds()
@@ -330,7 +226,7 @@ func (s *PositionSignal) teleported(claims []core.ClaimSample) (float64, bool) {
 			continue
 		}
 		speed := jump / dt
-		if speed >= s.cfg.MaxSpeedMS {
+		if speed >= maxSpeedMS {
 			jumped = true
 			if speed > worst {
 				worst = speed
@@ -340,7 +236,7 @@ func (s *PositionSignal) teleported(claims []core.ClaimSample) (float64, bool) {
 	return worst, jumped
 }
 
-// bucketize averages the claim deviation series into CorrBucket bins,
+// bucketize averages the claim deviation series into corrBucket bins,
 // returning the bins (sorted, because claims arrive under the monotone
 // monitor clock), the per-bin mean deviations, and the overall mean.
 func (s *PositionSignal) bucketize(claims []core.ClaimSample) ([]int64, []float64, float64) {
@@ -353,7 +249,7 @@ func (s *PositionSignal) bucketize(claims []core.ClaimSample) ([]int64, []float6
 	for _, c := range claims {
 		d := c.RSSI - s.expectedRSSI(math.Hypot(c.X, c.Y))
 		sum += d
-		b := int64(c.T / s.cfg.CorrBucket)
+		b := int64(c.T / corrBucket)
 		if n := len(buckets); n > 0 && buckets[n-1] == b {
 			devs[n-1] += d
 			counts[n-1]++

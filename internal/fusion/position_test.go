@@ -3,44 +3,12 @@ package fusion
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
 	"voiceprint/internal/core"
 	"voiceprint/internal/vanet"
 )
-
-func TestPositionConfigValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*PositionConfig)
-		want string // error substring; "" means valid
-	}{
-		{"defaults", func(c *PositionConfig) {}, ""},
-		{"nan alpha", func(c *PositionConfig) { c.Alpha = math.NaN() }, "non-finite alpha"},
-		{"inf threshold", func(c *PositionConfig) { c.CorrThreshold = math.Inf(1) }, "non-finite correlation threshold"},
-		{"nan jump", func(c *PositionConfig) { c.MinJumpM = math.NaN() }, "non-finite min jump"},
-		{"alpha one", func(c *PositionConfig) { c.Alpha = 1 }, "outside"},
-		{"negative scale", func(c *PositionConfig) { c.MinScaleDB = -1 }, "negative min scale"},
-		{"corr above one", func(c *PositionConfig) { c.CorrThreshold = 1.5 }, "outside"},
-		{"negative cohort", func(c *PositionConfig) { c.MinCohort = -1 }, "negative sample bounds"},
-	}
-	for _, tc := range cases {
-		cfg := PositionConfig{}.fill()
-		tc.mut(&cfg)
-		_, err := NewPositionSignal(cfg)
-		if tc.want == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error %v", tc.name, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
-		}
-	}
-}
 
 // claimsAt synthesizes n claims at 0.5 s spacing, all claiming constant
 // range r on the x axis, received at the signal's own expected RSSI for
@@ -66,10 +34,7 @@ func claimsAt(s *PositionSignal, n int, r, trueRange float64, wiggle func(i int)
 // honest identities (claims matching arrivals, small wiggle) must not be
 // flagged even though the assumed model is applied to all of them.
 func TestPositionMeanDeviation(t *testing.T) {
-	sig, err := NewPositionSignal(PositionConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sig := NewPositionSignal()
 	wiggle := func(k int) func(int) float64 {
 		return func(i int) float64 { return 1.5 * math.Sin(float64(i)/3+float64(k)) }
 	}
@@ -102,10 +67,7 @@ func TestPositionMeanDeviation(t *testing.T) {
 // in lockstep share one physical shadowing trace — flagged even when
 // both window means are unremarkable.
 func TestPositionResidualCorrelation(t *testing.T) {
-	sig, err := NewPositionSignal(PositionConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sig := NewPositionSignal()
 	shared := func(i int) float64 { return 3 * math.Sin(float64(i)/4) }
 	indep := func(k int) func(int) float64 {
 		return func(i int) float64 { return 3 * math.Cos(float64(i)/3+1.7*float64(k)) }
@@ -135,10 +97,7 @@ func TestPositionResidualCorrelation(t *testing.T) {
 // identity even with too few samples for the mean test, and the cohort
 // test is skipped entirely below MinCohort.
 func TestPositionTeleport(t *testing.T) {
-	sig, err := NewPositionSignal(PositionConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sig := NewPositionSignal()
 	jumper := []core.ClaimSample{
 		{T: 0, X: 10, RSSI: -70},
 		{T: 500 * time.Millisecond, X: 150, RSSI: -70}, // 140 m in 0.5 s = 280 m/s
@@ -174,10 +133,7 @@ func TestPositionTeleport(t *testing.T) {
 // in a tunnel). The shared offset shifts all deviations together; the
 // median centering must absorb it with no false flags.
 func TestPositionModelMismatchSelfCalibrates(t *testing.T) {
-	sig, err := NewPositionSignal(PositionConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sig := NewPositionSignal()
 	const extraLossDB = -25 // every beacon 25 dB colder than the model expects
 	wiggle := func(k int) func(int) float64 {
 		return func(i int) float64 { return extraLossDB + 1.5*math.Sin(float64(i)/3+float64(k)) }

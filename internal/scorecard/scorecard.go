@@ -99,24 +99,16 @@ func serviceConfig(maxRangeM float64) service.Config {
 // FusionConfig layers the multi-signal fusion detector onto the plain
 // scorecard configuration: the claimed-position consistency signal
 // inside every monitor plus the cross-receiver clique coordinator on
-// the synchronized round path. Both run at their defaults — the graded
-// fusion posture is the out-of-the-box one, exactly as `voiceprintd
-// -fusion` deploys it.
+// the synchronized round path, exactly as `voiceprintd -fusion` deploys
+// them. The error is always nil; the signature is kept for the
+// benchmark module, which calls it.
 func FusionConfig(maxRangeM float64) (service.Config, error) {
 	cfg := serviceConfig(maxRangeM)
-	pos, err := fusion.NewPositionSignal(fusion.PositionConfig{})
-	if err != nil {
-		return service.Config{}, err
-	}
 	cfg.Registry.Monitor.Fusion = core.FusionOptions{
 		Enabled: true,
-		Signals: []core.Signal{pos},
+		Signals: []core.Signal{fusion.NewPositionSignal()},
 	}
-	coord, err := fusion.NewCoordinator(fusion.CoordinatorConfig{})
-	if err != nil {
-		return service.Config{}, err
-	}
-	cfg.Coordinator = coord
+	cfg.Coordinator = fusion.NewCoordinator()
 	return cfg, nil
 }
 
@@ -160,11 +152,6 @@ type recvID struct {
 // Run replays one scenario through a live daemon and grades it.
 func Run(ctx context.Context, spec Spec) (Row, error) {
 	return run(ctx, spec, false)
-}
-
-// RunFused is Run with the fusion detector enabled (FusionConfig).
-func RunFused(ctx context.Context, spec Spec) (Row, error) {
-	return run(ctx, spec, true)
 }
 
 func run(ctx context.Context, spec Spec, fused bool) (Row, error) {

@@ -293,21 +293,27 @@ func TestJournaledObserveAllocs(t *testing.T) {
 	}
 	defer l.Close()
 	reg.SetJournal(l)
-	var tMs int64 // one stream clock across both cases: a beacon behind it would be dropped as stale
+	var tMs int64 // one stream clock across the cases: a beacon behind it is dropped as stale
 	for _, tc := range []struct {
-		name string
-		pos  *Position
+		name  string
+		pos   *Position
+		stale bool
 	}{
-		{"plain", nil},
-		{"positioned", &Position{X: 42.5, Y: -3.75}},
+		{"plain", nil, false},
+		{"positioned", &Position{X: 42.5, Y: -3.75}, false},
+		{"stale", nil, true},
 	} {
 		o := Observation{Recv: 901, Sender: 1002, RSSI: -68.5, Pos: tc.pos}
 		if tc.pos != nil {
 			o.Schema = 1
 		}
 		step := func() {
-			tMs += 100
-			o.TMs = tMs
+			if tc.stale {
+				o.TMs = tMs - 1000 // further behind the clock than the 500 ms tolerance
+			} else {
+				tMs += 100
+				o.TMs = tMs
+			}
 			if err := reg.Observe(o); err != nil {
 				t.Fatal(err)
 			}
@@ -315,11 +321,19 @@ func TestJournaledObserveAllocs(t *testing.T) {
 		for i := 0; i < 2000; i++ { // warm the monitor, its series and the WAL buffer
 			step()
 		}
+		dropped := metrics.StaleDropped.Load()
 		if got := testing.AllocsPerRun(200, step); got != 0 {
 			t.Errorf("%s beacon: %v allocs, want 0", tc.name, got)
 		}
+		want := uint64(0)
+		if tc.stale {
+			want = 201 // AllocsPerRun runs step once more than it counts
+		}
+		if got := metrics.StaleDropped.Load() - dropped; got != want {
+			t.Errorf("%s beacon: %d stale drops in 201 runs, want %d", tc.name, got, want)
+		}
 	}
 	if got, want := metrics.ObservationsIngested.Load(), uint64(2*(2000+201)); got != want {
-		t.Errorf("ingested %d beacons, want %d: the budget measured a drop path", got, want)
+		t.Errorf("ingested %d beacons, want %d: a fresh beacon's budget measured a drop path", got, want)
 	}
 }

@@ -16,14 +16,13 @@ import (
 // RegistryConfig configures the per-receiver monitor shard.
 type RegistryConfig struct {
 	// Monitor is the template configuration instantiated for every
-	// receiver that appears on the wire.
+	// receiver that appears on the wire. Its ReorderTolerance bounds how
+	// far back in time an observation may arrive relative to its
+	// receiver's newest observation and still be accepted (clamped
+	// forward); anything older is dropped as stale. Here zero means
+	// 500 ms — a handful of beacon intervals of network reordering — and
+	// negative means strict monotonicity.
 	Monitor core.MonitorConfig
-	// ReorderTolerance bounds how far back in time an observation may
-	// arrive relative to its receiver's newest observation and still be
-	// accepted (clamped forward); anything older is dropped as stale.
-	// Zero means 500 ms — a handful of beacon intervals of network
-	// reordering. Negative disables tolerance (strict monotonicity).
-	ReorderTolerance time.Duration
 	// MaxReceivers bounds how many receiver monitors the registry will
 	// materialize; observations for additional receivers are dropped
 	// with accounting. Zero means 4096.
@@ -57,15 +56,9 @@ func NewRegistry(cfg RegistryConfig, metrics *Metrics) (*Registry, error) {
 	if metrics == nil {
 		return nil, errors.New("service: nil metrics")
 	}
-	if cfg.ReorderTolerance == 0 {
-		cfg.ReorderTolerance = 500 * time.Millisecond
+	if cfg.Monitor.ReorderTolerance == 0 {
+		cfg.Monitor.ReorderTolerance = 500 * time.Millisecond
 	}
-	if cfg.ReorderTolerance < 0 {
-		cfg.ReorderTolerance = 0
-	}
-	// The service speaks the single Observe entry point: the tolerance
-	// lives on the monitor template rather than being re-passed per call.
-	cfg.Monitor.ReorderTolerance = cfg.ReorderTolerance
 	if cfg.Monitor.Detector.Observer == nil {
 		cfg.Monitor.Detector.Observer = metrics.StageObserver()
 	}

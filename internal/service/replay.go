@@ -25,8 +25,6 @@ type ReplayConfig struct {
 	// real time, 10 at ten times real time; zero or negative replays as
 	// fast as the detector keeps up.
 	Speed float64
-	// Workers bounds the round worker pool; zero means GOMAXPROCS.
-	Workers int
 }
 
 // Replay feeds a recorded trace CSV (the cmd/vanet-sim format) through
@@ -57,7 +55,9 @@ func Replay(ctx context.Context, r io.Reader, cfg ReplayConfig, metrics *Metrics
 	if err != nil {
 		return nil, err
 	}
-	sched, err := NewScheduler(reg, metrics, cfg.Workers, nil)
+	// Replay rounds run one at a time through DetectOne, which takes no
+	// worker slot, so the pool size is moot.
+	sched, err := NewScheduler(reg, metrics, 1, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -97,9 +97,6 @@ type WALConfig struct {
 	Fsync wal.SyncPolicy
 	// FsyncInterval is the group-commit period; zero means 5 ms.
 	FsyncInterval time.Duration
-	// SegmentBytes rotates the journal segment past this size; zero means
-	// 64 MiB.
-	SegmentBytes int64
 	// SnapshotInterval is the periodic compaction cadence; zero means
 	// 5 minutes, negative disables periodic snapshots (explicit
 	// Server.Snapshot and the shutdown snapshot still work).
@@ -250,12 +247,11 @@ func (s *Server) WAL() *wal.Log { return s.wal }
 func (s *Server) openWAL() error {
 	wc := s.cfg.WAL
 	l, rec, err := wal.Open(wal.Options{
-		Dir:          wc.Dir,
-		Policy:       wc.Fsync,
-		Interval:     wc.FsyncInterval,
-		SegmentBytes: wc.SegmentBytes,
-		Stats:        s.metrics.walStats(),
-		Logger:       s.cfg.Logger,
+		Dir:      wc.Dir,
+		Policy:   wc.Fsync,
+		Interval: wc.FsyncInterval,
+		Stats:    s.metrics.walStats(),
+		Logger:   s.cfg.Logger,
 	})
 	if err != nil {
 		return fmt.Errorf("service: %w", err)

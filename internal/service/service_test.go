@@ -458,13 +458,13 @@ func TestServerConcurrentIngest(t *testing.T) {
 }
 
 // TestServerMalformedAndStale: garbage lines and observations older than
-// the reorder tolerance are dropped with accounting, while slightly
-// late ones are clamped in.
+// the reorder tolerance (the registry's 500 ms default) are dropped with
+// accounting, while slightly late ones are clamped in.
 func TestServerMalformedAndStale(t *testing.T) {
 	srv, cancel, _ := startServer(t, Config{
 		Network:  "tcp",
 		Addr:     "127.0.0.1:0",
-		Registry: RegistryConfig{Monitor: testMonitorConfig(), ReorderTolerance: 500 * time.Millisecond},
+		Registry: RegistryConfig{Monitor: testMonitorConfig()},
 		Period:   time.Hour,
 	})
 	defer cancel()
@@ -631,7 +631,8 @@ func TestServerUnixSocket(t *testing.T) {
 
 // TestConcurrentIngestAndRounds drives Registry.Observe from multiple
 // ingest goroutines while the scheduler ticks asynchronous rounds and
-// fires synchronous DetectAll sweeps — the daemon's steady state.
+// fires synchronous DetectAll sweeps, both live and at a fixed boundary
+// (Monitor.DetectAt) — the daemon's steady state.
 // Run under -race this pins the monitor's reused round scratch (views,
 // input map, pair buffer) as properly serialized.
 func TestConcurrentIngestAndRounds(t *testing.T) {
@@ -679,6 +680,7 @@ func TestConcurrentIngestAndRounds(t *testing.T) {
 	for {
 		sched.Tick()
 		_ = sched.DetectAll(-1)
+		_ = sched.DetectAll(10 * time.Second)
 		select {
 		case <-done:
 			sched.Drain()

@@ -27,22 +27,13 @@ import (
 // wiring: the position-consistency signal on every monitor and the
 // co-observation clique coordinator over each synchronized sweep —
 // exactly what `voiceprintd -fusion` and the fused scorecard deploy.
-func fusedCampaignConfig(t *testing.T) service.Config {
-	t.Helper()
+func fusedCampaignConfig() service.Config {
 	cfg := campaignServiceConfig(true)
-	pos, err := fusion.NewPositionSignal(fusion.PositionConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg.Registry.Monitor.Fusion = core.FusionOptions{
 		Enabled: true,
-		Signals: []core.Signal{pos},
+		Signals: []core.Signal{fusion.NewPositionSignal()},
 	}
-	coord, err := fusion.NewCoordinator(fusion.CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Coordinator = coord
+	cfg.Coordinator = fusion.NewCoordinator()
 	return cfg
 }
 
@@ -92,7 +83,7 @@ func TestCampaignFusionAddsDetections(t *testing.T) {
 	plainLog := verdictLog(plainSc)
 	runScenario(t, plainSc)
 
-	fusedSc := &Scenario{Records: records, Service: fusedCampaignConfig(t)}
+	fusedSc := &Scenario{Records: records, Service: fusedCampaignConfig()}
 	fusedLog := verdictLog(fusedSc)
 	fusedRep := runScenario(t, fusedSc)
 	if fusedRep.Delivered != fusedRep.Sent || fusedRep.AccountedIngest() != uint64(fusedRep.Delivered) {
@@ -179,7 +170,7 @@ func idSet(bracketed string) map[int64]bool {
 // results, so both are order-insensitive once ingest is quiesced.
 func TestCampaignFusionReorderInvariance(t *testing.T) {
 	records := colludingRecords(t)
-	baseSc := &Scenario{Records: records, Service: fusedCampaignConfig(t)}
+	baseSc := &Scenario{Records: records, Service: fusedCampaignConfig()}
 	baseLog := verdictLog(baseSc)
 	runScenario(t, baseSc)
 	if suspectCount(*baseLog) == 0 {
@@ -189,7 +180,7 @@ func TestCampaignFusionReorderInvariance(t *testing.T) {
 	for _, seed := range seeds(t) {
 		sc := &Scenario{
 			Records: records,
-			Service: fusedCampaignConfig(t),
+			Service: fusedCampaignConfig(),
 			Chaos: Config{
 				Seed:         seed,
 				SplitProb:    0.3,
@@ -234,7 +225,7 @@ func TestCampaignFusionCrashRecoveryDeterminism(t *testing.T) {
 	}
 
 	ref := scenario()
-	ref.Service = fusedCampaignConfig(t)
+	ref.Service = fusedCampaignConfig()
 	ref.Service.WAL = &service.WALConfig{Dir: t.TempDir(), SnapshotInterval: -1}
 	refLog := verdictLog(ref)
 	refRep := runScenario(t, ref)
@@ -243,7 +234,7 @@ func TestCampaignFusionCrashRecoveryDeterminism(t *testing.T) {
 	}
 
 	crash := scenario()
-	crash.Service = fusedCampaignConfig(t)
+	crash.Service = fusedCampaignConfig()
 	crashDir := t.TempDir()
 	crash.Service.WAL = &service.WALConfig{Dir: crashDir, SnapshotInterval: -1}
 	crash.CrashRestart = true

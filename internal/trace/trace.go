@@ -1,5 +1,5 @@
-// Package trace provides persistence for RSSI reception logs (CSV and
-// JSON round trips, so runs can be recorded and replayed through the
+// Package trace provides persistence for RSSI reception logs (CSV
+// round trips, so runs can be recorded and replayed through the
 // detector offline, the way the paper's laptops logged the field tests)
 // and the scripted four-vehicle field-test scenarios of Sections III and
 // VI.
@@ -7,7 +7,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -22,21 +21,19 @@ import (
 // Position is a claimed sender position in the receiver's local frame
 // (claimed minus receiver position, meters).
 type Position struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
+	X, Y float64
 }
 
 // Record is one received beacon in a portable form. Pos carries the
-// sender's claimed position when the log recorded one (schema v2);
-// position-less v1 traces marshal byte-identically to before. The CSV
-// form stays the four-column v1 layout — the campaign golden hashes pin
-// it — so claimed positions ride only the JSON and NDJSON forms.
+// sender's claimed position when the log recorded one. The CSV form
+// stays the four-column layout — the campaign golden hashes pin it — so
+// claimed positions ride only the daemon's NDJSON wire form.
 type Record struct {
-	Receiver vanet.NodeID  `json:"receiver"`
-	Sender   vanet.NodeID  `json:"sender"`
-	T        time.Duration `json:"t"`
-	RSSI     float64       `json:"rssi"`
-	Pos      *Position     `json:"pos,omitempty"`
+	Receiver vanet.NodeID
+	Sender   vanet.NodeID
+	T        time.Duration
+	RSSI     float64
+	Pos      *Position
 }
 
 // FromLog flattens one receiver's reception log into records sorted by
@@ -185,20 +182,4 @@ func parseRow(row []string) (Record, error) {
 		T:        time.Duration(ms) * time.Millisecond,
 		RSSI:     rssi,
 	}, nil
-}
-
-// WriteJSON writes records as a JSON array.
-func WriteJSON(w io.Writer, records []Record) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(records)
-}
-
-// ReadJSON parses records written by WriteJSON.
-func ReadJSON(r io.Reader) ([]Record, error) {
-	var out []Record
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&out); err != nil {
-		return nil, fmt.Errorf("trace: read json: %w", err)
-	}
-	return out, nil
 }

@@ -106,29 +106,6 @@ func TestScanCSVStreams(t *testing.T) {
 
 var errSentinel = errors.New("sentinel")
 
-func TestJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	recs := sampleRecords()
-	if err := WriteJSON(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("round trip lost records")
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Errorf("record %d mismatch", i)
-		}
-	}
-	if _, err := ReadJSON(strings.NewReader("{")); err == nil {
-		t.Error("bad json should error")
-	}
-}
-
 func TestFromLogAndToSeries(t *testing.T) {
 	log := &vanet.ReceptionLog{
 		Receiver: 3,
