@@ -650,13 +650,24 @@ func isTerminator(s ast.Stmt) bool {
 // suppress-with-reason case.
 func (a *analysis) checkPairing(name string, body *ast.BlockStmt) {
 	info := a.pass.TypesInfo
-	type acquire struct {
-		pos token.Pos
-		op  string
+	// A lock is paired by mode: Lock needs Unlock and RLock needs
+	// RUnlock, so an RLock/RUnlock pair elsewhere in the function does
+	// not excuse a Lock that is never unlocked.
+	type hold struct {
+		key  vet.SelectorKey
+		read bool
 	}
-	acquired := make(map[vet.SelectorKey]acquire)
-	var order []vet.SelectorKey
-	released := make(map[vet.SelectorKey]bool)
+	acquired := make(map[hold]token.Pos)
+	var order []hold
+	released := make(map[hold]bool)
+	release := func(op string, key vet.SelectorKey) {
+		switch op {
+		case "Unlock":
+			released[hold{key, false}] = true
+		case "RUnlock":
+			released[hold{key, true}] = true
+		}
+	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // its own pairing scope
@@ -664,8 +675,8 @@ func (a *analysis) checkPairing(name string, body *ast.BlockStmt) {
 		if d, ok := n.(*ast.DeferStmt); ok {
 			// A deferred unlock releases; a deferred Lock is reported as
 			// its own bug by checkStmt, not double-counted here.
-			if op, key, ok := lockCall(info, d.Call); ok && (op == "Unlock" || op == "RUnlock") {
-				released[key] = true
+			if op, key, ok := lockCall(info, d.Call); ok {
+				release(op, key)
 			}
 			return false
 		}
@@ -679,19 +690,23 @@ func (a *analysis) checkPairing(name string, body *ast.BlockStmt) {
 		}
 		switch op {
 		case "Lock", "RLock":
-			if _, dup := acquired[key]; !dup {
-				acquired[key] = acquire{pos: call.Pos(), op: op}
-				order = append(order, key)
+			h := hold{key, op == "RLock"}
+			if _, dup := acquired[h]; !dup {
+				acquired[h] = call.Pos()
+				order = append(order, h)
 			}
-		case "Unlock", "RUnlock":
-			released[key] = true
+		default:
+			release(op, key)
 		}
 		return true
 	})
-	for _, key := range order {
-		if !released[key] {
-			acq := acquired[key]
-			a.pass.Reportf(acq.pos, "%s.%s() in %s with no unlock anywhere in the function; unlock it, defer the unlock, or suppress with a reason if the lock is deliberately handed to the caller", keyString(key), acq.op, name)
+	for _, h := range order {
+		if !released[h] {
+			op, unlock := "Lock", "Unlock"
+			if h.read {
+				op, unlock = "RLock", "RUnlock"
+			}
+			a.pass.Reportf(acquired[h], "%s.%s() in %s with no %s anywhere in the function; unlock it, defer the unlock, or suppress with a reason if the lock is deliberately handed to the caller", keyString(h.key), op, name, unlock)
 		}
 	}
 }

@@ -77,8 +77,18 @@ func (c *Counter) DeferLock() {
 
 // Bad: no unlock on any path.
 func (c *Counter) Leak() {
-	c.mu.Lock() // want "c\\.mu\\.Lock\\(\\) in Leak with no unlock anywhere in the function"
+	c.mu.Lock() // want "c\\.mu\\.Lock\\(\\) in Leak with no Unlock anywhere in the function"
 	c.n = 1
+}
+
+// Bad: a read lock's RUnlock does not release the exclusive Lock taken
+// after it.
+func (t *Table) LeakAfterRead(k string) {
+	t.mu.RLock()
+	_ = t.rows[k]
+	t.mu.RUnlock()
+	t.mu.Lock() // want "t\\.mu\\.Lock\\(\\) in LeakAfterRead with no Unlock anywhere in the function"
+	t.rows[k] = 1
 }
 
 // Good: the holds precondition stands in for a local lock.

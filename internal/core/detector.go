@@ -40,9 +40,9 @@ type Config struct {
 	// Boundary is the trained decision rule (Figure 10). Required:
 	// a zero boundary would flag only exact-zero distances.
 	Boundary lda.Boundary
-	// ObservationTime is the collection window (Table V: 20 s). Purely
-	// informational to the detector (the caller slices series), but kept
-	// for documentation and CLI plumbing.
+	// ObservationTime is the collection window (Table V: 20 s). A bare
+	// Detector compares whatever series it is handed; a Monitor slices
+	// each round's window to this length (zero means 20 s).
 	ObservationTime time.Duration
 	// MinSamples is the minimum series length for an identity to enter
 	// comparison; shorter series (barely-heard, drive-by identities at the
@@ -96,26 +96,27 @@ type Config struct {
 	// The zero value (normalization on) is the production behaviour; the
 	// ablation experiment flips this to quantify the effect.
 	DisableLengthNormalization bool
-	// LBPrune enables lower-bound pruning in the compare phase: the banded
-	// DP abandons a pair as soon as a row minimum (a lower bound on the
-	// final distance) exceeds the smaller of the raw cap the pair would
-	// have to pass and a per-round threshold derived from the decision
-	// boundary, above which no pair can be flagged, but never at or below
-	// the round's smallest band-path upper bound; the pair records that
-	// bound as its Raw (marked Pruned). Flags, Suspects and the raw and
-	// normalized distances of unpruned pairs are bit-identical with
-	// pruning on or off — a pass before the others computes in full every
-	// pair that could hold the batch maximum and the floor keeps the pair
-	// holding the minimum from being abandoned, so the Equation 8 batch
-	// min and max are exact, and afterwards every pruned pair whose bound
-	// could still be flagged is recomputed — but a pruned pair's
-	// Raw/Normalized are bounds, not distances, and a bound may sit at or
-	// below the pair's cap. The zero value (off) is the bare-library
-	// default so training-data harvesting and the figure pipelines keep
-	// seeing true distances; deployments flip it on (voiceprintd does by
-	// default).
-	// Pruning requires a Sakoe-Chiba band: with BandRadius < 0
-	// (unconstrained-FastDTW ablation) the flag is ignored.
+	// LBPrune enables pruning in the compare phase: the banded DP computes
+	// only the cells that can lie on a warp path within the pair's cutoff
+	// and abandons the pair at the first row with none. The cutoff is the
+	// smaller of the raw cap the pair would have to pass and a per-round
+	// threshold derived from the decision boundary, above which no pair
+	// can be flagged, but never below the round's smallest band-path
+	// upper bound. An abandoned pair records as its Raw the per-sample
+	// value of the smallest raw cost past its cutoff, a lower bound on its
+	// distance (marked Pruned).
+	// Flags, Suspects and the raw and normalized distances of unpruned
+	// pairs are bit-identical with pruning on or off — a pass before the
+	// others computes in full every pair that could hold the batch
+	// maximum and the floor keeps the pair holding the minimum from being
+	// abandoned, so the Equation 8 batch min and max are exact, and
+	// afterwards every pruned pair whose bound could still be flagged is
+	// recomputed — but a pruned pair's Raw/Normalized are bounds, not
+	// distances, and a bound may sit at or below the pair's cap. The zero
+	// value (off) is the bare-library default so training-data harvesting
+	// and the figure pipelines keep seeing true distances; voiceprintd
+	// always prunes. Pruning requires a Sakoe-Chiba band: with
+	// BandRadius < 0 (unconstrained-FastDTW ablation) the flag is ignored.
 	LBPrune bool
 	// Workers bounds the goroutines used for the O(n²) pairwise DTW
 	// comparison phase. Each pair is independent and results land in
@@ -220,14 +221,16 @@ type PairDistance struct {
 	Normalized float64
 	// Flagged reports whether the pair fell under the boundary.
 	Flagged bool
-	// Pruned reports that lower-bound pruning (Config.LBPrune) abandoned
-	// the pair's banded DP scan. Raw and Normalized then hold the scan's
-	// prefix minimum, a lower bound on the true distance, not the distance
-	// itself. The bound exceeds the round's smallest upper bound and
-	// either the pair's cap or the round's boundary-derived threshold, so
-	// it may sit at or below the cap, but never at or below the batch
-	// minimum. Pruned pairs are never flagged: the compare phase
-	// recomputes every pruned pair that the exact run could flag.
+	// Pruned reports that pruning (Config.LBPrune) abandoned the pair's
+	// banded DP. Raw and Normalized then hold a bound just past the pair's
+	// cutoff (the per-sample value of the smallest raw cost whose
+	// per-sample value exceeds it), a lower bound on the true distance,
+	// not the distance itself. The bound exceeds the round's smallest
+	// upper bound and either the pair's cap or the round's
+	// boundary-derived threshold, so it may sit at or below the cap, but
+	// never at or below the batch minimum. Pruned pairs are never flagged:
+	// the compare phase recomputes every pruned pair that the exact run
+	// could flag.
 	Pruned bool
 }
 
@@ -260,8 +263,8 @@ type Result struct {
 	// PairsCompared counts the pairs whose DTW distance was computed in
 	// full this round (including pairs pruning computed up front to fix
 	// the batch maximum, and pairs the verdict repair recomputed);
-	// PairsPrunedLB the pairs left Pruned, resolved by the banded DP's
-	// early-abandoned prefix minimum. The two always sum to len(Pairs).
+	// PairsPrunedLB the pairs left Pruned, resolved by a bound from the
+	// abandoned banded DP. The two always sum to len(Pairs).
 	PairsCompared int
 	PairsPrunedLB int
 	// Signals is the per-identity, per-signal attribution map, populated
@@ -641,9 +644,9 @@ func (d *Detector) comparePairs(sc *roundScratch, buf []PairDistance, density fl
 // batch maximum whatever the others store.
 //
 // It returns the floor no abandon cutoff may undercut, the smallest
-// bound minUB: the pair holding it has row minima ≤ its distance ≤ minUB,
+// bound minUB: the pair holding it has distance ≤ minUB ≤ its cutoff,
 // so it is never abandoned, the batch minimum is a computed distance,
-// and every pruned bound lies above it. It also returns the
+// and every pruned bound, which exceeds its cutoff, lies above it. It also returns the
 // boundary-derived threshold T = minUB + θ·maxE: a pair is flagged
 // through the boundary only if its raw distance is at most
 // min + θ·(max − min), and min ≤ minUB, max − min ≤ maxE. θ outside

@@ -5,58 +5,87 @@ import (
 	"math"
 )
 
-// abandonStride is how often BandedDistanceAbandon scans a completed DP
-// row for its minimum. The scan costs about as much as computing the row,
-// so checking every row would tax pairs that never abandon; a fixed
-// stride caps that overhead at 1/abandonStride while delaying an abandon
-// by at most abandonStride-1 rows. An abandoned pair costs only the rows
-// it ran — the kernel steps the band per row — so the earliest abandon
-// costs abandonStride rows. It is a compile-time constant so abandoned
-// bounds stay a deterministic function of the inputs.
-const abandonStride = 4
-
 // BandedDistance computes DTW under a Sakoe-Chiba band of the given
 // radius with the rolling-row banded kernel, which steps the band row by
 // row in workspace scratch (no allocation).
 func (ws *Workspace) BandedDistance(x, y []float64, radius int) (float64, error) {
-	d, _, err := ws.banded(x, y, radius, 1, math.Inf(1))
+	d, _, err := ws.banded(x, y, radius, math.Inf(1))
 	return d, err
 }
 
 // BandedDistanceAbandon computes the same Sakoe-Chiba banded squared-cost
-// DTW distance as BandedDistance, but gives up early when the distance
-// provably exceeds cutoff: every cell cost is non-negative, so the
-// minimum over a completed DP row is a lower bound on every later row
-// and on the final distance. After every abandonStride-th interior row
-// the normalized bound rowMin/norm is compared against cutoff with
-// exactly the division the caller uses to normalize distances; once it
-// exceeds cutoff the final distance must too, and the scan stops.
+// DTW distance as BandedDistance, but only while it can still satisfy
+// d/norm <= cutoff, with exactly the division the caller uses to
+// normalize distances. The kernel computes only the cells that can lie on
+// a warp path of raw cost at most U, the largest float64 whose quotient
+// by norm does not exceed cutoff (rawLimit), and gives up at the first
+// row with no such cell.
 //
-// On abandon it returns (rowMin, true, nil) where rowMin is the
-// accumulated (unnormalized) row minimum — an admissible lower bound on
-// the exact banded distance. When the scan completes it returns the
-// exact distance, bit-identical to BandedDistance: both run the same
-// kernel, and the row-min scan never touches cell arithmetic. The last
-// row is never checked — at that point the exact distance is already
-// paid for. Inputs outside the kernel's range (see kernelRange: NaN,
-// ±Inf, or values large enough to overflow a DP cell) are never
-// abandoned; the scan completes and returns BandedDistance's result.
+// The result is a pure function of the exact distance D = BandedDistance:
 //
-// The result is a pure function of (x, y, radius, norm, cutoff): it does
-// not depend on which workspace runs the pair or what that workspace ran
-// before.
+//   - D/norm <= cutoff: (D, false, nil), bit-identical to BandedDistance;
+//   - otherwise: (Nextafter(U, +Inf), true, nil), the smallest raw value
+//     whose quotient by norm exceeds cutoff. It is at most D, so it is an
+//     admissible lower bound on the distance.
+//
+// A cutoff of +Inf or NaN never abandons. Inputs outside the kernel's
+// range (see kernelRange: NaN, ±Inf, or values large enough to overflow
+// a DP cell) are never abandoned either; they return BandedDistance's
+// result. The result does not depend on which workspace runs the pair or
+// what that workspace ran before.
 func (ws *Workspace) BandedDistanceAbandon(x, y []float64, radius int, norm, cutoff float64) (float64, bool, error) {
 	if !(norm > 0) {
 		return 0, false, fmt.Errorf("dtw: abandon norm must be positive, got %v", norm)
 	}
-	return ws.banded(x, y, radius, norm, cutoff)
+	if cutoff < 0 {
+		return 0, false, fmt.Errorf("dtw: abandon cutoff must not be negative, got %v", cutoff)
+	}
+	return ws.banded(x, y, radius, rawLimit(norm, cutoff))
+}
+
+// rawLimit returns U, the largest float64 v >= 0 with v/norm <= cutoff,
+// for norm > 0 and cutoff >= 0. Division rounds monotonically, so for
+// every v >= 0, v > U exactly when v/norm > cutoff. A cutoff of +Inf or
+// NaN, or a product cutoff·norm that overflows, gives +Inf: no DP value
+// exceeds it. The correctly rounded product is within an ulp or two of U
+// except where v/norm is subnormal, so the search probes the neighbouring
+// bit patterns first and bisects only when that gallop runs long.
+func rawLimit(norm, cutoff float64) float64 {
+	u := cutoff * norm
+	if !(u < math.Inf(1)) {
+		return math.Inf(1)
+	}
+	// Non-negative floats order like their bit patterns. fits(lo) holds
+	// and fits(hi) does not: +Inf/norm exceeds every finite cutoff.
+	fits := func(b uint64) bool { return math.Float64frombits(b)/norm <= cutoff }
+	lo, hi := uint64(0), math.Float64bits(math.Inf(1))
+	k := math.Float64bits(math.Abs(u)) // Abs: cutoff may be -0
+	up := fits(k)
+	if up {
+		lo = k
+	} else {
+		hi = k
+	}
+	for d := uint64(1); hi-lo > 1; d *= 2 {
+		d = min(d, (hi-lo)/2)
+		p := lo + d
+		if !up {
+			p = hi - d
+		}
+		if fits(p) {
+			lo = p
+		} else {
+			hi = p
+		}
+	}
+	return math.Float64frombits(lo)
 }
 
 // banded is the squared-cost banded DP behind BandedDistance and
-// BandedDistanceAbandon; cutoff +Inf turns abandoning off. Inputs the
+// BandedDistanceAbandon; a limit of +Inf turns abandoning off. Inputs the
 // kernel cannot take exactly go to the windowed DP over the same band,
 // never abandoned.
-func (ws *Workspace) banded(x, y []float64, radius int, norm, cutoff float64) (float64, bool, error) {
+func (ws *Workspace) banded(x, y []float64, radius int, limit float64) (float64, bool, error) {
 	if len(x) == 0 || len(y) == 0 {
 		return 0, false, ErrEmptySeries
 	}
@@ -70,9 +99,9 @@ func (ws *Workspace) banded(x, y []float64, radius int, norm, cutoff float64) (f
 		return d, false, err
 	}
 	m := len(y)
-	ws.prev = growF64(ws.prev, m+1)
-	ws.cur = growF64(ws.cur, m+1)
-	d, abandoned := bandedKernel(ws.prev, ws.cur, x, y, radius, norm, cutoff)
+	ws.prev = growF64(ws.prev, m+2)
+	ws.cur = growF64(ws.cur, m+2)
+	d, abandoned := bandedKernel(ws.prev, ws.cur, x, y, radius, limit)
 	return d, abandoned, nil
 }
 
@@ -97,75 +126,125 @@ func kernelRange(x, y []float64) bool {
 }
 
 // bandedKernel is the squared-cost Sakoe-Chiba DP of the given radius,
-// stepping the band one row at a time (bandRows), on two rolling rows
-// prev and cur of len(y)+1 floats indexed by column+1 (index 0 is column
-// -1). It returns the DP value of the last cell, or, when a completed
-// row's minimum normalized by norm exceeds cutoff, that minimum and
-// true. An abandoned pair costs only the rows it ran: nothing here walks
-// the whole series up front.
+// computing only the cells that can lie on a warp path of cost at most
+// limit (PrunedDTW, Silva & Batista 2016; EAPrunedDTW, Herrmann & Webb
+// 2021). It steps the band one row at a time (bandRows) on two rolling
+// rows prev and cur of len(y)+2 floats indexed by column+1 (index 0 is
+// column -1). It returns the DP value of the last cell when that value
+// is at most limit, and otherwise Nextafter(limit, +Inf) and true. With
+// limit +Inf it is the exact DP. An abandoned pair costs only the rows
+// it ran: nothing here walks the whole series up front.
 //
-// Before row i it writes +Inf sentinels into the previous row where a
-// predecessor lies outside the band: column lo[i-1]-1 (no diagonal) and
-// columns hi[i-1]+1..hi[i] (no up); the row's first cell starts from a
-// +Inf left neighbour. A sentinel never wins a strict comparison, so one
-// loop with no head/tail split covers the whole band. Each cell is
-// min(up, diagonal, left) by bitMin, in that order, plus the squared
-// difference; float64(d*d) keeps the compiler from fusing the multiply
-// into the add.
+// Let [ps, pe] be the first and last columns of row i-1 whose value is
+// at most limit. Row i runs the full recurrence over columns
+// max(lo, ps) through min(hi, pe+1) and then continues left-only while
+// the value stays at most limit: past pe+1 the up and diagonal
+// neighbours both exceed limit. A row with no value at most limit
+// abandons the pair. After each row +Inf sentinels go into columns ps-1
+// and pe+1, the edges the next row reads, and each row's first cell
+// starts from a +Inf left neighbour, so one loop with no head/tail split
+// (bandRow) covers the full-recurrence range; the row's edges are then
+// found by scanning in from both ends. Each cell is min(up, diagonal,
+// left) by bitMin, in that order, plus the squared difference;
+// float64(d*d) keeps the compiler from fusing the multiply into the add.
+//
+// Every cell whose exact value is at most limit has a predecessor at
+// most limit, which by induction was computed exactly, so it is computed
+// from the same values in the same order and gets the same bits. A cell
+// that read a sentinel in place of a value above limit can only come out
+// larger, and stays above limit either way. The outcome is therefore a
+// function of the exact distance alone.
 //
 // The caller guarantees kernelRange(x, y): every DP value is then +0,
 // positive finite, or a +Inf sentinel, and on such values bitMin selects
 // exactly what the branchy comparison chain would.
-func bandedKernel(prev, cur, x, y []float64, radius int, norm, cutoff float64) (float64, bool) {
-	n := len(x)
+func bandedKernel(prev, cur, x, y []float64, radius int, limit float64) (float64, bool) {
+	n, m := len(x), len(y)
 	inf := math.Inf(1)
-	checking := !math.IsInf(cutoff, 1)
-	band := newBandRows(n, len(y), radius)
+	band := newBandRows(n, m, radius)
 	// Row 0 is a prefix sum: its band starts at column 0, and only the
-	// left neighbour exists. Starting from +0 is exact: +0 + v is v for
-	// every v >= +0.
+	// left neighbour exists, so its cells at most limit are a prefix.
+	// Starting from +0 is exact: +0 + v is v for every v >= +0.
 	x0 := x[0]
 	yr := y[:band.hi+1]
 	row := prev[1 : len(yr)+1]
 	acc := 0.0
+	ps, pe := 0, -1
 	for j, yj := range yr {
 		d := x0 - yj
-		acc += float64(d * d)
-		row[j] = acc
-	}
-	for i := 1; i < n; i++ {
-		plo, phi := band.lo, band.hi
-		band.next()
-		l, h := band.lo, band.hi
-		prev[plo] = inf
-		for j := phi + 2; j <= h+1; j++ {
-			prev[j] = inf
+		if acc += float64(d * d); acc > limit {
+			break
 		}
-		// Column l+k's diagonal and up neighbours are dg[k] and up[k];
-		// its left neighbour is the previous cell, and the first cell's
-		// is +Inf.
+		row[j] = acc
+		pe = j
+	}
+	if pe < 0 {
+		return math.Nextafter(limit, inf), true
+	}
+	prev[0], prev[pe+2] = inf, inf
+	for i := 1; i < n; i++ {
+		band.next()
+		l, h := max(band.lo, ps), min(band.hi, pe+1)
+		if l > h {
+			return math.Nextafter(limit, inf), true
+		}
 		yr := y[l : h+1]
-		dg := prev[l:][:len(yr)]
-		up := prev[l+1:][:len(yr)]
 		c := cur[l+1:][:len(yr)]
 		xi := x[i]
-		left := inf
-		for k, yk := range yr {
-			best := bitMin(bitMin(up[k], dg[k]), left)
-			d := xi - yk
-			left = best + float64(d*d)
-			c[k] = left
-		}
-		if checking && i < n-1 && (i+1)%abandonStride == 0 {
-			rowMin := c[0]
-			for _, v := range c[1:] {
-				rowMin = bitMin(rowMin, v)
+		left := bandRow(c, prev[l:][:len(yr)+1], yr, xi)
+		// The row's last full cell decides its right edge: at most limit,
+		// the row continues left-only; above it, the edge is the last
+		// full cell at most limit. The left edge is the first.
+		var e int
+		if left <= limit {
+			e = h
+			for j := h + 1; j <= band.hi; j++ {
+				d := xi - y[j]
+				if left += float64(d * d); left > limit {
+					break
+				}
+				cur[j+1] = left
+				e = j
 			}
-			if rowMin/norm > cutoff {
-				return rowMin, true
+		} else {
+			e = len(c) - 1
+			for e >= 0 && c[e] > limit {
+				e--
 			}
+			if e < 0 {
+				return math.Nextafter(limit, inf), true
+			}
+			e += l
 		}
+		s := 0
+		for c[s] > limit {
+			s++
+		}
+		ps, pe = l+s, e
+		cur[ps], cur[pe+2] = inf, inf
 		prev, cur = cur, prev
 	}
-	return prev[band.hi+1], false
+	if pe < m-1 {
+		return math.Nextafter(limit, inf), true
+	}
+	return prev[m], false
+}
+
+// bandRow computes one row's full-recurrence cells into c: column k's
+// diagonal and up neighbours are p[k] and p[k+1], its left neighbour is
+// the previous cell, and the first cell's is +Inf. It returns the last
+// cell. It is a function of its own so the loop gets the registers the
+// surrounding row bookkeeping would otherwise take.
+func bandRow(c, p, yr []float64, xi float64) float64 {
+	left := math.Inf(1)
+	dg := p[:len(yr)]
+	up := p[1:][:len(yr)]
+	c = c[:len(yr)]
+	for k, yk := range yr {
+		best := bitMin(bitMin(up[k], dg[k]), left)
+		d := xi - yk
+		left = best + float64(d*d)
+		c[k] = left
+	}
+	return left
 }

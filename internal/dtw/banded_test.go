@@ -11,12 +11,14 @@ import (
 // kernel replaced, kept as the reference it must match bit for bit: a
 // Sakoe-Chiba band over a cell backing of n×(band width) floats, each
 // row split into bounds-checked head and tail cells (refCell) around an
-// interior of if-less-than selects, with the abandon scan after every
-// abandonStride-th interior row. With cutoff +Inf it is the squared-cost
-// path BandedDistance took, and still takes for inputs outside
-// kernelRange. The float64(d*d) conversions forbid fused multiply-adds,
-// which amd64 never emits anyway, so the reference computes the amd64
-// bits on every architecture.
+// interior of if-less-than selects. It always computes every band cell,
+// then applies BandedDistanceAbandon's outcome rule to the exact
+// distance D: D when D/norm <= cutoff (or the cutoff is +Inf or NaN),
+// else refOver(norm, cutoff) and true. With cutoff +Inf it is the
+// squared-cost path BandedDistance took, and still takes for inputs
+// outside kernelRange. The float64(d*d) conversions forbid fused
+// multiply-adds, which amd64 never emits anyway, so the reference
+// computes the amd64 bits on every architecture.
 func refBanded(x, y []float64, radius int, norm, cutoff float64) (float64, bool, error) {
 	if len(x) == 0 || len(y) == 0 {
 		return 0, false, ErrEmptySeries
@@ -33,7 +35,6 @@ func refBanded(x, y []float64, radius int, norm, cutoff float64) (float64, bool,
 		size += w.hi[i] - w.lo[i] + 1
 	}
 	cells := make([]float64, size)
-	checking := !math.IsInf(cutoff, 1)
 	for i := 0; i < n; i++ {
 		lo, hi := w.lo[i], w.hi[i]
 		row := cells[offs[i] : offs[i]+hi-lo+1]
@@ -79,19 +80,29 @@ func refBanded(x, y []float64, radius int, norm, cutoff float64) (float64, bool,
 				row[j-lo] = v
 			}
 		}
-		if checking && i < n-1 && (i+1)%abandonStride == 0 {
-			rowMin := row[0]
-			for _, v := range row[1:] {
-				if v < rowMin {
-					rowMin = v
-				}
-			}
-			if rowMin/norm > cutoff {
-				return rowMin, true, nil
-			}
+	}
+	d := cells[offs[n-1]+m-1-w.lo[n-1]]
+	if d/norm > cutoff {
+		return refOver(norm, cutoff), true, nil
+	}
+	return d, false, nil
+}
+
+// refOver is the smallest float64 v >= 0 with v/norm > cutoff, found by
+// plain bisection over the bit patterns of the non-negative floats
+// (which order like the floats): the value an abandoning kernel call
+// returns, computed without rawLimit's gallop.
+func refOver(norm, cutoff float64) float64 {
+	lo, hi := uint64(0), math.Float64bits(math.Inf(1))
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if math.Float64frombits(mid)/norm > cutoff {
+			hi = mid
+		} else {
+			lo = mid
 		}
 	}
-	return cells[offs[n-1]+m-1-w.lo[n-1]], false, nil
+	return math.Float64frombits(hi)
 }
 
 // refCell is sqCell as refBanded's head and tail cells used it: one
@@ -326,23 +337,136 @@ func BenchmarkBandedCell(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
 }
 
-// BenchmarkBandedAbandonEarly reports what a pair abandoned at its first
-// check costs: an 80-sample Z-scored AR(1) pair at band radius 20, with
-// a cutoff of 0 so the scan stops after row abandonStride-1. The band is
-// stepped inside the kernel, so this is abandonStride rows of work, not
-// a walk over all 80.
+// BenchmarkBandedAbandonEarly reports what a pair abandoned in its first
+// row costs: an 80-sample Z-scored AR(1) pair at band radius 20 under a
+// per-sample cutoff of 1e-9, which the first cell already exceeds. What
+// is left is the per-call overhead: argument checks, the kernelRange scan
+// and rawLimit. (A zero cutoff would time subnormal divisions instead:
+// rawLimit's search for the largest v with v/80 <= 0 runs through
+// subnormal quotients, which cost microseconds on x86.)
 func BenchmarkBandedAbandonEarly(b *testing.B) {
-	const radius = 20
+	const (
+		radius = 20
+		cutoff = 1e-9
+	)
 	rng := rand.New(rand.NewSource(18))
 	x, y := zAR1(rng, 80, 0.8), zAR1(rng, 80, 0.8)
 	ws := NewWorkspace()
-	if _, abandoned, err := ws.BandedDistanceAbandon(x, y, radius, 80, 0); err != nil || !abandoned {
+	if _, abandoned, err := ws.BandedDistanceAbandon(x, y, radius, 80, cutoff); err != nil || !abandoned {
 		b.Fatalf("pair not abandoned (err %v)", err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink, _, _ = ws.BandedDistanceAbandon(x, y, radius, 80, 0)
+		benchSink, _, _ = ws.BandedDistanceAbandon(x, y, radius, 80, cutoff)
 	}
+}
+
+// BenchmarkBandedPruned reports the abandoning kernel's cost per DP cell
+// it actually computes (prunedCells), on BenchmarkBandedCell's pairs
+// with per-sample cutoffs drawn between half and one and a half times
+// each pair's exact normalized distance, so about half the pairs
+// complete and half abandon. band-frac is the share of the band's cells
+// computed.
+func BenchmarkBandedPruned(b *testing.B) {
+	const (
+		pairs  = 64
+		radius = 20
+	)
+	rng := rand.New(rand.NewSource(19))
+	xs := make([][]float64, pairs)
+	ys := make([][]float64, pairs)
+	norms := make([]float64, pairs)
+	cutoffs := make([]float64, pairs)
+	cells, band := 0, 0
+	ws := NewWorkspace()
+	for k := range xs {
+		xs[k] = zAR1(rng, 160+rng.Intn(21), 0.8)
+		ys[k] = zAR1(rng, 160+rng.Intn(21), 0.8)
+		norms[k] = float64(max(len(xs[k]), len(ys[k])))
+		exact, err := ws.BandedDistance(xs[k], ys[k], radius)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cutoffs[k] = exact / norms[k] * (0.5 + rng.Float64())
+		cells += prunedCells(xs[k], ys[k], radius, rawLimit(norms[k], cutoffs[k]))
+		size := sakoeChiba(len(xs[k]), len(ys[k]), radius).size()
+		if all := prunedCells(xs[k], ys[k], radius, math.Inf(1)); all != size {
+			b.Fatalf("prunedCells counts %d cells of an unpruned call, the band has %d", all, size)
+		}
+		band += size
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range xs {
+			if _, _, err := ws.BandedDistanceAbandon(xs[k], ys[k], radius, norms[k], cutoffs[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
+	b.ReportMetric(float64(cells)/float64(band), "band-frac")
+}
+
+// prunedCells counts the cells bandedKernel computes for x against y
+// under limit, replaying its row bounds on the exact band DP: a computed
+// cell is at most limit exactly when its exact value is, so the bounds
+// follow from the exact values alone. Row i computes columns max(lo, ps)
+// through min(hi, pe+1), then left-only cells up to and including the
+// first one above limit.
+func prunedCells(x, y []float64, radius int, limit float64) int {
+	n, m := len(x), len(y)
+	w := sakoeChiba(n, m, radius)
+	inf := math.Inf(1)
+	prev, cur := make([]float64, m), make([]float64, m)
+	count, ps, pe := 0, 0, -1
+	for i := 0; i < n; i++ {
+		l, h := 0, w.hi[0]
+		if i > 0 {
+			l, h = max(w.lo[i], ps), min(w.hi[i], pe+1)
+		}
+		for j := range cur {
+			cur[j] = inf
+		}
+		first, last := -1, -1
+		for j := w.lo[i]; j <= w.hi[i]; j++ {
+			best := inf
+			if i == 0 && j == 0 {
+				best = 0
+			}
+			if i > 0 {
+				best = min(best, prev[j])
+				if j > 0 {
+					best = min(best, prev[j-1])
+				}
+			}
+			if j > w.lo[i] {
+				best = min(best, cur[j-1])
+			}
+			d := x[i] - y[j]
+			cur[j] = best + float64(d*d)
+			inRange := j >= l && j <= h
+			extended := j > h && last == j-1 && last >= h
+			if i == 0 {
+				inRange, extended = false, j == 0 || last == j-1
+			}
+			if !inRange && !extended {
+				continue
+			}
+			count++
+			if cur[j] <= limit {
+				if first < 0 {
+					first = j
+				}
+				last = j
+			}
+		}
+		if last < 0 {
+			return count
+		}
+		ps, pe = first, last
+		prev, cur = cur, prev
+	}
+	return count
 }
 
 // benchSink keeps benchmarked results live.

@@ -39,13 +39,14 @@ func newBandRows(n, m, radius int) bandRows {
 	return b
 }
 
-// next advances to the following row.
+// next advances to the following row. The carry into the center is
+// computed without a branch: when n and m are close, whether a row
+// carries follows no pattern a branch predictor learns.
 func (b *bandRows) next() {
-	b.c += b.q
-	if b.rem += b.dr; b.rem >= b.dn {
-		b.rem -= b.dn
-		b.c++
-	}
+	r := b.rem + b.dr
+	carry := (b.dn - 1 - r) >> 63 // -1 when r >= dn, else 0
+	b.rem = r - b.dn&carry
+	b.c += b.q - carry
 	b.lo = min(max(b.c-b.r, 0), b.hi+1)
 	b.hi = min(b.c+b.r, b.last)
 }

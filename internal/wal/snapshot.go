@@ -59,6 +59,7 @@ func (l *Log) Snapshot(capture func() []ReceiverState) (SnapshotInfo, error) {
 	start := time.Now()
 	l.barrier.Lock()
 	l.mu.Lock()
+	l.idleLocked()
 	if err := l.usableLocked(); err != nil {
 		l.mu.Unlock()
 		l.barrier.Unlock()

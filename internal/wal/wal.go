@@ -138,12 +138,17 @@ type Log struct {
 	segSize int64    // voiceprintvet:guardedby mu
 	buf     []byte   // voiceprintvet:guardedby mu — append encode scratch, reused
 	dirty   bool     // voiceprintvet:guardedby mu — bytes written since the last fsync
+	syncing bool     // voiceprintvet:guardedby mu — Sync is fsyncing f with mu released
 	closed  bool     // voiceprintvet:guardedby mu
 	aborted bool     // voiceprintvet:guardedby mu
 
 	lastSnapSeg uint64    // voiceprintvet:guardedby mu — NextSegment of the newest snapshot; 0 = none
 	lastSnapAt  time.Time // voiceprintvet:guardedby mu — zero = none
 	sinceSnap   int64     // voiceprintvet:guardedby mu — bytes appended since the last snapshot
+
+	// synced is signalled, with L = &mu, when an fsync that ran outside
+	// mu finishes (see Sync and idleLocked).
+	synced sync.Cond
 
 	flushStop chan struct{}
 	flushDone chan struct{}
@@ -171,6 +176,7 @@ func Open(opts Options) (*Log, *Recovery, error) {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{opts: opts}
+	l.synced.L = &l.mu
 	rec, err := l.recover()
 	if err != nil {
 		return nil, nil, err
@@ -399,6 +405,9 @@ func (l *Log) AppendRound(recv vanet.NodeID, at time.Duration) error {
 func (l *Log) Append(rs ...Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.segSize >= l.opts.SegmentBytes {
+		l.idleLocked() // the rotation below closes the file
+	}
 	if err := l.usableLocked(); err != nil {
 		cinc(l.opts.Stats.AppendErrors)
 		return err
@@ -448,7 +457,8 @@ func (l *Log) usableLocked() error {
 }
 
 // rotateLocked seals the active segment (final fsync unless SyncNone)
-// and opens the next one. Callers hold l.mu.
+// and opens the next one. Callers hold l.mu and have waited for an
+// in-flight Sync (idleLocked) since they last released it.
 //
 // voiceprintvet:holds mu
 func (l *Log) rotateLocked() error {
@@ -480,14 +490,52 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Sync flushes the active segment to stable storage.
+// Sync flushes the active segment to stable storage. The fsync runs with
+// mu released, so Append is not stalled behind a slow disk while the
+// group-commit flusher syncs: under mu Sync takes the file, clears dirty
+// and marks a sync in flight; a failed fsync sets dirty again. Bytes
+// appended while the fsync runs set dirty and wait for the next Sync.
+// Rotation, Close and Abort wait for the in-flight fsync (idleLocked)
+// before they close the file, and so does a second Sync, which then
+// flushes what the first may have missed.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.idleLocked()
 	if err := l.usableLocked(); err != nil {
 		return err
 	}
-	return l.syncLocked()
+	if !l.dirty {
+		return nil
+	}
+	f := l.f
+	l.dirty = false
+	l.syncing = true
+	l.mu.Unlock()
+	start := time.Now()
+	err := f.Sync()
+	elapsed := time.Since(start)
+	l.mu.Lock()
+	l.syncing = false
+	l.synced.Broadcast()
+	if err != nil {
+		l.dirty = true
+		return fmt.Errorf("wal: %w", err)
+	}
+	cinc(l.opts.Stats.Fsyncs)
+	hobs(l.opts.Stats.FsyncNs, elapsed.Nanoseconds())
+	return nil
+}
+
+// idleLocked waits until no Sync is fsyncing outside mu, so the caller
+// may close or replace the file. Waiting releases mu, so callers check
+// the log's state after it returns.
+//
+// voiceprintvet:holds mu
+func (l *Log) idleLocked() {
+	for l.syncing {
+		l.synced.Wait()
+	}
 }
 
 // flushLoop is the SyncInterval group-commit flusher.
@@ -512,6 +560,7 @@ func (l *Log) Close() error {
 	l.stopFlusher()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.idleLocked()
 	if l.closed || l.aborted {
 		return ErrClosed
 	}
@@ -533,6 +582,7 @@ func (l *Log) Abort() {
 	l.stopFlusher()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.idleLocked()
 	if l.closed || l.aborted {
 		return
 	}

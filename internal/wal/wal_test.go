@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -161,6 +162,107 @@ func TestAbortKeepsWrittenRecords(t *testing.T) {
 	}
 	if got := len(replayAll(t, rec)); got != 50 {
 		t.Errorf("replayed %d records after abort, want 50", got)
+	}
+}
+
+// TestConcurrentAppendSyncClose races appends from several goroutines,
+// tiny segments (a rotation every few records) and a 100 µs group-commit
+// flusher whose fsyncs run outside the log mutex, against a Close or an
+// Abort that lands while appends and fsyncs are still in flight. Every
+// record whose Append returned nil must come back from recovery: a
+// rotation, Close or Abort that closed the file under a running fsync,
+// or an fsync that lost track of bytes written during it, would lose or
+// tear them. Run it under -race.
+func TestConcurrentAppendSyncClose(t *testing.T) {
+	for _, abort := range []bool{false, true} {
+		name := "close"
+		if abort {
+			name = "abort"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := Open(Options{Dir: dir, Interval: 100 * time.Microsecond, SegmentBytes: 512})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const writers, perWriter = 4, 200
+			var (
+				wg      sync.WaitGroup
+				mu      sync.Mutex
+				written = make(map[vanet.NodeID]bool)
+				started = make(chan struct{}, writers*perWriter)
+			)
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perWriter; i++ {
+						id := vanet.NodeID(1000*w + i)
+						err := l.Append(Record{Kind: KindObservation, Recv: 1, Sender: id, T: time.Duration(i) * time.Millisecond, RSSI: -70})
+						started <- struct{}{}
+						if errors.Is(err, ErrClosed) {
+							return
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						mu.Lock()
+						written[id] = true
+						mu.Unlock()
+					}
+				}(w)
+			}
+			// An explicit Sync loop beside the flusher: the flusher stops
+			// before Close and Abort take the log, this one does not.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					if err := l.Sync(); errors.Is(err, ErrClosed) {
+						return
+					} else if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			// Let about half the appends through, then shut the log down
+			// under the rest.
+			for i := 0; i < writers*perWriter/2; i++ {
+				<-started
+			}
+			if abort {
+				l.Abort()
+			} else if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l.mu.Lock()
+			inFlight := l.syncing
+			l.mu.Unlock()
+			if inFlight {
+				t.Error("an fsync was still running on the file after it was closed")
+			}
+			wg.Wait()
+
+			l2, rec, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			recovered := make(map[vanet.NodeID]bool)
+			for _, r := range replayAll(t, rec) {
+				recovered[r.Sender] = true
+			}
+			for id := range written {
+				if !recovered[id] {
+					t.Errorf("record %d was appended but not recovered", id)
+				}
+			}
+			if len(written) < writers*perWriter/2 {
+				t.Fatalf("only %d appends succeeded before shutdown", len(written))
+			}
+		})
 	}
 }
 
