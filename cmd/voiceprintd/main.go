@@ -77,7 +77,7 @@ func run() error {
 	tolerance := flag.Duration("reorder-tolerance", 500*time.Millisecond, "accept observations up to this far out of order (negative = strict ordering)")
 	workers := flag.Int("workers", 0, "detection round worker pool size (0 = GOMAXPROCS)")
 	fusionOn := flag.Bool("fusion", false, "enable the multi-signal fusion detector: claimed-position consistency per monitor plus cross-receiver co-observation cliques on synchronized rounds")
-	ingestBuffer := flag.Int("ingest-buffer", 0, "per-connection observation buffer (0 = default 4096)")
+	ingestBuffer := flag.Int("ingest-buffer", 0, "per-connection bound on lines decoded but not yet applied (0 = default 4096)")
 	eventBuffer := flag.Int("event-buffer", 0, "per-connection outbound verdict buffer (0 = default 256)")
 	maxLineBytes := flag.Int("max-line-bytes", 0, "max inbound NDJSON line length (0 = default 64KiB)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "disconnect clients silent this long (0 disables; pure subscribers never write)")

@@ -64,12 +64,8 @@ func feedDurable(t *testing.T, srv *Server) {
 			}
 			obs = append(obs, Observation{Recv: 9, Sender: 1, TMs: tms, RSSI: -55 - float64((i*3)%11)})
 		}
-		for len(obs) > 0 {
-			n := min(len(obs), journalChunk)
-			if err := reg.observeBatch(obs[:n]); err != nil {
-				t.Fatal(err)
-			}
-			obs = obs[n:]
+		if _, err := reg.observeBatch(obs, nil); err != nil {
+			t.Fatal(err)
 		}
 		for _, out := range srv.DetectNow() {
 			if out.Err != nil {
@@ -335,5 +331,135 @@ func TestJournaledObserveAllocs(t *testing.T) {
 	}
 	if got, want := metrics.ObservationsIngested.Load(), uint64(2*(2000+201)); got != want {
 		t.Errorf("ingested %d beacons, want %d: a fresh beacon's budget measured a drop path", got, want)
+	}
+}
+
+// TestJournaledObserveBatchAllocs pins the per-batch journaled ingest
+// path — one WAL append of the batch under the snapshot barrier, then
+// every apply — at zero allocations on warmed receivers, with a record
+// buffer reused across batches as the connection applier reuses it.
+func TestJournaledObserveBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	metrics := &Metrics{}
+	reg, err := NewRegistry(RegistryConfig{Monitor: testMonitorConfig()}, metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncNone, Stats: metrics.walStats()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	reg.SetJournal(l)
+	batch := make([]Observation, 512)
+	for i := range batch {
+		batch[i] = Observation{Recv: 901, Sender: vanet.NodeID(1000 + i%8), RSSI: -60 - float64(i%13)}
+		if i%2 == 1 {
+			batch[i].Schema, batch[i].Pos = 1, &Position{X: float64(i), Y: -3.75}
+		}
+	}
+	var tMs int64
+	var recs []wal.Record
+	step := func() {
+		for i := range batch {
+			tMs += 25
+			batch[i].TMs = tMs
+		}
+		if recs, err = reg.observeBatch(batch, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ { // warm the monitor, its series, the WAL buffer and recs
+		step()
+	}
+	if got := testing.AllocsPerRun(50, step); got != 0 {
+		t.Errorf("journaled batch of %d: %v allocs, want 0", len(batch), got)
+	}
+	if got, want := metrics.ObservationsIngested.Load(), uint64(len(batch)*(40+51)); got != want {
+		t.Errorf("ingested %d beacons, want %d", got, want)
+	}
+}
+
+// TestObserveBatchOneJournalWrite pins the batched journal: one
+// observeBatch is one WAL write (under SyncAlways every write is one
+// fsync, so the fsync counter counts writes) that carries every record,
+// the journal holds them in the order they were applied, and replaying
+// it into a fresh registry rebuilds the same monitor state.
+func TestObserveBatchOneJournalWrite(t *testing.T) {
+	metrics := &Metrics{}
+	reg, err := NewRegistry(RegistryConfig{Monitor: testMonitorConfig()}, metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	l, _, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncAlways, Stats: metrics.walStats()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.SetJournal(l)
+	// Two receivers interleaved, plain and positioned beacons, and every
+	// 50th beacon far enough behind its receiver's clock to be dropped
+	// as stale: the monitor state depends on the apply order.
+	obs := make([]Observation, 1000)
+	for i := range obs {
+		o := Observation{Recv: vanet.NodeID(7 + i%2), Sender: vanet.NodeID(100 + i%5), TMs: int64(i) * 40, RSSI: -55 - float64(i%17)}
+		if i%3 == 0 {
+			o.Schema, o.Pos = 1, &Position{X: float64(i % 40), Y: 2.5}
+		}
+		if i%50 == 49 {
+			o.TMs -= 2000
+		}
+		obs[i] = o
+	}
+	if _, err := reg.observeBatch(obs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := metrics.WALFsyncs.Load(); got != 1 {
+		t.Errorf("one batch took %d WAL writes, want 1", got)
+	}
+	if got := metrics.WALAppends.Load(); got != uint64(len(obs)) {
+		t.Errorf("journaled %d records, want %d", got, len(obs))
+	}
+	if got := metrics.StaleDropped.Load(); got != 20 {
+		t.Errorf("stale drops = %d, want 20", got)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, rec, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	var journaled []Observation
+	if err := rec.Replay(func(r wal.Record) error {
+		o := Observation{Recv: r.Recv, Sender: r.Sender, TMs: r.T.Milliseconds(), RSSI: r.RSSI}
+		if r.Kind == wal.KindObservationPos {
+			o.Schema, o.Pos = 1, &Position{X: r.X, Y: r.Y}
+		}
+		journaled = append(journaled, o)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(journaled, obs) {
+		t.Fatalf("journal differs from the batch (%d records, want %d)", len(journaled), len(obs))
+	}
+	replayed, err := NewRegistry(RegistryConfig{Monitor: testMonitorConfig()}, &Metrics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range journaled {
+		if err := replayed.Observe(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, recv := range reg.Receivers() {
+		if got, want := replayed.Monitor(recv).State(), reg.Monitor(recv).State(); !reflect.DeepEqual(got, want) {
+			t.Errorf("receiver %d: state replayed from the journal differs from the applied state", recv)
+		}
 	}
 }

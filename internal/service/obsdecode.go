@@ -2,6 +2,7 @@ package service
 
 import (
 	"math"
+	"math/bits"
 	"strconv"
 
 	"voiceprint/internal/vanet"
@@ -273,15 +274,20 @@ func digitsValue(tok []byte) uint64 {
 	return v
 }
 
-// readFloat decodes a number with strconv.ParseFloat, as json does, once
-// the token has passed the JSON grammar that ParseFloat alone does not
-// enforce (it also takes hex, "inf" and "nan"). A
-// ParseFloat error — overflow to ±Inf — declines, leaving json's own
-// error to the fallback.
+// readFloat decodes a number to the float64 strconv.ParseFloat returns,
+// as json does, once the token has passed the JSON grammar that
+// ParseFloat alone does not enforce (it also takes hex, "inf" and
+// "nan"). decimalFloat computes the common case directly; the rest goes
+// to ParseFloat, whose error — overflow to ±Inf — declines, leaving
+// json's own error to the fallback.
 func (s *obsScanner) readFloat(dst *float64) bool {
 	tok, _, ok := s.number()
 	if !ok {
 		return false
+	}
+	if v, ok := decimalFloat(tok); ok {
+		*dst = v
+		return true
 	}
 	v, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
@@ -289,4 +295,85 @@ func (s *obsScanner) readFloat(dst *float64) bool {
 	}
 	*dst = v
 	return true
+}
+
+// Powers of ten up to 1e19, exact as float64s and as uint64s.
+var (
+	float64pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+		1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+	uint64pow10 = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+		1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+)
+
+// decimalFloat converts a JSON number token of at most 19 digits and
+// without an exponent part to the nearest float64, ties to even: the
+// value strconv.ParseFloat returns. It reports false for any other
+// token. json.Marshal writes a float64 in this form, in at most 17
+// significant digits, unless it is below 1e-6 or from 1e21 up;
+// ParseFloat spends most of a line's decode time re-reading such
+// tokens.
+func decimalFloat(tok []byte) (float64, bool) {
+	neg := tok[0] == '-'
+	if neg {
+		tok = tok[1:]
+	}
+	if len(tok) > 20 {
+		return 0, false
+	}
+	var m uint64 // at most 19 digits, so m < 1e19 < 2^64
+	exp, digits := 0, 0
+	for i, c := range tok {
+		if c == '.' {
+			exp = i + 1 - len(tok)
+			continue
+		}
+		if c-'0' > 9 {
+			return 0, false // an exponent part
+		}
+		m = m*10 + uint64(c-'0')
+		digits++
+	}
+	var f float64
+	switch {
+	case digits > 19:
+		return 0, false
+	case m == 0:
+	case m <= 1<<53:
+		// Both operands are exact, so the division rounds once.
+		f = float64(m) / float64pow10[-exp]
+	default:
+		f = divPow10(m, -exp)
+	}
+	if neg {
+		f = -f
+	}
+	return f, true
+}
+
+// divPow10 is m / 10^k rounded to the nearest float64, ties to even, for
+// 2^53 < m < 2^64 and 0 <= k <= 19. It divides m·2^s by 10^k in integers,
+// with s chosen so the quotient q has 63 or 64 bits, then rounds q to 53
+// bits; a non-zero remainder r only breaks a tie upwards.
+func divPow10(m uint64, k int) float64 {
+	d := uint64pow10[k]
+	s := 63 - bits.Len64(m) + bits.Len64(d) // 2^62 <= m·2^s/d < 2^64
+	var hi, lo uint64
+	if s < 64 {
+		hi, lo = m>>(64-s), m<<s
+	} else {
+		hi = m << (s - 64)
+	}
+	q, r := bits.Div64(hi, lo, d)
+	drop := bits.Len64(q) - 53
+	mant, rest, half := q>>drop, q&(1<<drop-1), uint64(1)<<(drop-1)
+	if rest > half || rest == half && (r != 0 || mant&1 == 1) {
+		mant++
+		if mant == 1<<53 {
+			mant >>= 1
+			drop++
+		}
+	}
+	// m/10^k lies in [2^53/10^19, 2^64), so the result is normal:
+	// mant·2^(drop-s) with mant in [2^52, 2^53).
+	return math.Float64frombits(uint64(drop-s+52+1023)<<52 | mant&(1<<52-1))
 }

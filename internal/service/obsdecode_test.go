@@ -2,6 +2,10 @@ package service
 
 import (
 	"encoding/json"
+	"math"
+	"math/big"
+	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -127,13 +131,15 @@ func TestParseObservationAllocs(t *testing.T) {
 var parsedSink Observation
 
 // BenchmarkParseObservation measures the per-line decode cost of the
-// canonical schema-0 and schema-1 lines.
+// canonical schema-0 and schema-1 lines, and of a schema-1 line as
+// json.Marshal writes a simulated beacon, every float in full precision.
 func BenchmarkParseObservation(b *testing.B) {
 	for _, bc := range []struct {
 		name, line string
 	}{
 		{"schema0", canonicalObservationLines[0]},
 		{"schema1", canonicalObservationLines[1]},
+		{"schema1-marshal", `{"recv":6,"sender":10,"t_ms":100,"rssi":-78.71473932592077,"schema":1,"pos":{"x":264.14068494828473,"y":-10.799999999999999}}`},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			line := []byte(bc.line)
@@ -147,5 +153,63 @@ func BenchmarkParseObservation(b *testing.B) {
 				parsedSink = o
 			}
 		})
+	}
+}
+
+// TestDecimalFloatMatchesParseFloat checks the direct float path bit
+// for bit against strconv.ParseFloat: shortest forms of random float64s
+// at several magnitudes (what json.Marshal writes), random digit
+// strings, and exact ties between two float64s.
+func TestDecimalFloatMatchesParseFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	handled := 0
+	check := func(tok string) {
+		t.Helper()
+		got, ok := decimalFloat([]byte(tok))
+		if !ok {
+			return
+		}
+		handled++
+		want, err := strconv.ParseFloat(tok, 64)
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("decimalFloat(%s) = %v (%#x), ParseFloat = %v (%#x), %v",
+				tok, got, math.Float64bits(got), want, math.Float64bits(want), err)
+		}
+	}
+	for _, tok := range []string{"0", "-0", "0.0", "-0.000", "1", "9007199254740993", "18446744073709551615",
+		"9999999999999999999", "0.1", "-62.70509791043159", "264.14068494828473", "-10.799999999999999",
+		"0.0000000000000000001", "9.999999999999999999", "1234567890123456789.0"} {
+		check(tok)
+	}
+	for i := 0; i < 200000; i++ {
+		v := math.Float64frombits(rng.Uint64()>>2 | 1<<62) // in [2, +Inf)
+		v = math.Mod(v, 1e6) * math.Pow(10, float64(rng.Intn(20)-14))
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		check(strconv.FormatFloat(v, 'f', -1, 64))
+
+		// Up to 20 random digits with a point anywhere.
+		b := make([]byte, 0, 22)
+		n := 1 + rng.Intn(20)
+		point := rng.Intn(n + 1)
+		for j := 0; j < n; j++ {
+			if j == point && j > 0 {
+				b = append(b, '.')
+			}
+			b = append(b, byte('0'+rng.Intn(10)))
+		}
+		check(string(b))
+
+		// An odd 54-bit integer lies halfway between two float64s; so do
+		// its halves and quarters, written exactly in 19 digits or fewer.
+		odd := new(big.Float).SetInt64(int64(rng.Uint64()>>10 | 1<<53 | 1))
+		for k := 0; k < 3; k++ {
+			check(odd.Text('f', k))
+			odd.Quo(odd, big.NewFloat(2))
+		}
+	}
+	if handled < 400000 {
+		t.Errorf("only %d tokens took the direct path", handled)
 	}
 }

@@ -92,28 +92,26 @@ func (r *Registry) SetJournal(l *wal.Log) { r.journal.Store(l) }
 // the monitor pipeline is deterministic). A journal append failure is
 // deliberately not fatal to the apply: availability over durability.
 func (r *Registry) Observe(o Observation) error {
-	return r.observeBatch([]Observation{o})
+	var rec [1]wal.Record
+	_, err := r.observeBatch([]Observation{o}, rec[:0])
+	return err
 }
 
-// journalChunk caps the observations one observeBatch call takes: enough
-// to spread one WAL write over a burst, few enough that the record
-// buffer stays on the stack.
-const journalChunk = 32
-
-// observeBatch is Observe over up to journalChunk observations in
-// arrival order. With a journal installed the whole run is journaled in
-// one WAL write before any of it is applied, under one hold of the
-// snapshot barrier. Every observation is applied; the first hard
-// failure is returned.
-func (r *Registry) observeBatch(obs []Observation) error {
+// observeBatch is Observe over a run of observations in arrival order.
+// With a journal installed the whole run is journaled in one WAL write
+// before any of it is applied, under one hold of the snapshot barrier.
+// recs is the caller's scratch for the journal records; observeBatch
+// returns it, grown as needed, for the next call. Every observation is
+// applied; the first hard failure is returned.
+func (r *Registry) observeBatch(obs []Observation, recs []wal.Record) ([]wal.Record, error) {
 	if l := r.journal.Load(); l != nil {
+		recs = recs[:0]
+		for _, o := range obs {
+			recs = append(recs, journalRecord(o))
+		}
 		l.Begin()
 		defer l.End()
-		var recs [journalChunk]wal.Record
-		for i, o := range obs {
-			recs[i] = journalRecord(o)
-		}
-		_ = l.Append(recs[:len(obs)]...)
+		_ = l.Append(recs...)
 	}
 	var first error
 	for _, o := range obs {
@@ -121,7 +119,7 @@ func (r *Registry) observeBatch(obs []Observation) error {
 			first = err
 		}
 	}
-	return first
+	return recs, first
 }
 
 // journalRecord is the WAL record of one observation. Positioned beacons

@@ -32,10 +32,13 @@ type Config struct {
 	Period time.Duration
 	// Workers bounds the scheduler's round pool; zero means GOMAXPROCS.
 	Workers int
-	// IngestBuffer is the per-connection bounded observation buffer;
-	// when a detection round briefly holds a monitor busy the buffer
-	// absorbs the burst, and overflow is shed with accounting instead of
-	// growing without bound. Zero means 4096.
+	// IngestBuffer bounds, per connection, the observations decoded but
+	// not yet applied, in lines. When a detection round briefly holds a
+	// monitor busy the bound absorbs the burst; lines beyond it are shed
+	// with accounting instead of queueing without bound. Storage for
+	// decoded lines comes from a shared pool while they are in flight,
+	// so an idle or subscribe-only connection holds none. Zero means
+	// 4096.
 	IngestBuffer int
 	// EventBuffer is the per-connection outbound verdict buffer; slow
 	// consumers lose events (accounted), they do not stall the daemon.
@@ -47,8 +50,8 @@ type Config struct {
 	// means 64 KiB.
 	MaxLineBytes int
 	// IdleTimeout disconnects a client whose ingest side has been silent
-	// this long (per-scan read deadline). Zero disables: pure event
-	// subscribers legitimately never write.
+	// this long (a read deadline set before each read). Zero disables:
+	// pure event subscribers legitimately never write.
 	IdleTimeout time.Duration
 	// WriteTimeout bounds one verdict-event write to a client; on expiry
 	// the client is evicted (closed and accounted) rather than allowed
@@ -511,9 +514,9 @@ func (s *Server) shutdown() *time.Timer {
 	})
 }
 
-// handleConn runs one client connection: a reader parsing NDJSON
-// observations into a bounded buffer, an applier feeding the registry,
-// and a writer streaming verdict events back.
+// handleConn runs one client connection: a reader decoding NDJSON
+// observations into batches, an applier journaling and applying them
+// through the registry, and a writer streaming verdict events back.
 func (s *Server) handleConn(c net.Conn) {
 	s.metrics.ConnsOpened.Add(1)
 	defer s.metrics.ConnsClosed.Add(1)
@@ -559,37 +562,46 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 	}()
 
-	// Applier: drains the bounded ingest buffer into the registry, taking
-	// whatever has queued behind each observation (up to journalChunk)
-	// in one registry call. A journaled daemon then pays one WAL write
-	// per batch rather than per line, which keeps the applier ahead of
-	// the reader so bursts do not overflow the buffer.
-	ingest := make(chan Observation, s.cfg.IngestBuffer)
+	// Applier: journals and applies each batch the reader admitted, in
+	// arrival order: one WAL write and one hold of the snapshot barrier
+	// per batch. Its record buffer lives as long as the connection.
+	q := newIngestQueue(s.cfg.IngestBuffer, &s.metrics.BackpressureDropped)
 	applierDone := make(chan struct{})
 	go func() {
 		defer close(applierDone)
-		batch := make([]Observation, 0, journalChunk)
-		for o := range ingest {
-			batch = append(batch[:0], o)
-			for len(batch) < journalChunk && len(ingest) > 0 {
-				batch = append(batch, <-ingest)
-			}
-			if err := s.reg.observeBatch(batch); err != nil {
+		var recs []wal.Record
+		q.drain(func(obs []Observation) {
+			var err error
+			if recs, err = s.reg.observeBatch(obs, recs); err != nil {
 				clog.Warn("service: ingest error", "err", err)
 			}
-		}
+		})
 	}()
 
-	// Reader: parse lines, shedding overflow, oversized frames and
+	// Reader: decode lines into a batch, shedding oversized frames and
 	// malformed lines with accounting — none of them cost the client its
-	// connection. Only silence past the idle timeout (or the remote
-	// hanging up) ends the stream.
-	sr := NewLineScanner(c, s.cfg.MaxLineBytes)
-	var oversized uint64
-	for {
+	// connection. The batch goes to the applier when it is full and
+	// before every read of the socket, so a line never waits for bytes
+	// that may not come, and one read of a busy socket is one batch.
+	// Lines the applier has no room for are shed and counted. Only
+	// silence past the idle timeout (or the remote hanging up) ends the
+	// stream.
+	var batch *obsBatch
+	handoff := func() {
+		if batch == nil {
+			return
+		}
+		q.admit(batch)
+		batch = nil
+	}
+	sr := NewLineScanner(readHook{r: c, before: func() {
+		handoff()
 		if s.cfg.IdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
+	}}, s.cfg.MaxLineBytes)
+	var oversized uint64
+	for {
 		ok := sr.Scan()
 		if n := sr.Oversized(); n != oversized {
 			s.metrics.OversizedDropped.Add(n - oversized)
@@ -607,10 +619,15 @@ func (s *Server) handleConn(c net.Conn) {
 			s.metrics.MalformedDropped.Add(1)
 			continue
 		}
-		if !enqueue(ingest, o, s.metrics) {
-			continue
+		if batch == nil {
+			batch = getBatch()
+		}
+		batch.obs = append(batch.obs, o)
+		if len(batch.obs) == maxBatchLines {
+			handoff()
 		}
 	}
+	handoff()
 	if err := sr.Err(); err != nil && !errors.Is(err, net.ErrClosed) {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
@@ -629,9 +646,9 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 	}
 
-	// Teardown: stop the applier, detach from broadcast, close the
-	// socket.
-	close(ingest)
+	// Teardown: let the applier finish what was admitted, detach from
+	// broadcast, close the socket.
+	q.close()
 	<-applierDone
 	s.mu.Lock()
 	delete(s.conns, sc)
@@ -649,21 +666,6 @@ func connAddr(c net.Conn) string {
 		return a.String()
 	}
 	return "unknown"
-}
-
-// enqueue attempts a non-blocking put into a bounded ingest buffer,
-// accounting the drop when the buffer is full. Backpressure here is
-// load-shedding by design: a beacon stream is a lossy medium already,
-// and the detector tolerates gaps (that is why it compares with DTW), so
-// shedding under overload beats unbounded queueing.
-func enqueue(ch chan<- Observation, o Observation, m *Metrics) bool {
-	select {
-	case ch <- o:
-		return true
-	default:
-		m.BackpressureDropped.Add(1)
-		return false
-	}
 }
 
 // broadcast fans one round outcome out to every connected client,

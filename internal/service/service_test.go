@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -495,23 +496,6 @@ func TestServerMalformedAndStale(t *testing.T) {
 	}
 }
 
-// TestEnqueueShedsWhenFull pins the bounded-ingest-buffer contract
-// deterministically: a full buffer sheds with accounting, it never
-// blocks.
-func TestEnqueueShedsWhenFull(t *testing.T) {
-	m := &Metrics{}
-	ch := make(chan Observation, 2)
-	for i := 0; i < 5; i++ {
-		enqueue(ch, Observation{TMs: int64(i)}, m)
-	}
-	if got := m.BackpressureDropped.Load(); got != 3 {
-		t.Errorf("BackpressureDropped = %d, want 3", got)
-	}
-	if len(ch) != 2 {
-		t.Errorf("buffered = %d, want 2", len(ch))
-	}
-}
-
 // TestServerBackpressureAccounting forces real overflow through a
 // 1-slot ingest buffer while the receiver's monitor is pinned by a
 // detection round over a large neighborhood.
@@ -567,6 +551,39 @@ func TestServerBackpressureAccounting(t *testing.T) {
 			uint64(len(heavy)+len(burst))
 	})
 	t.Logf("burst of %d: %d shed by backpressure", len(burst), m.BackpressureDropped.Load())
+}
+
+// TestServerAppliesBeforeBlockingRead: the reader hands its decoded
+// lines to the applier before any read that can block, so lines count
+// as ingested while the client keeps the connection open and sends
+// nothing more — including while the tail of a split line is still in
+// flight.
+func TestServerAppliesBeforeBlockingRead(t *testing.T) {
+	srv, cancel, _ := startServer(t, Config{
+		Network:  "tcp",
+		Addr:     "127.0.0.1:0",
+		Registry: RegistryConfig{Monitor: testMonitorConfig()},
+		Period:   time.Hour,
+	})
+	defer cancel()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	line := func(i int) string {
+		return fmt.Sprintf(`{"recv":5,"sender":%d,"t_ms":%d,"rssi":-70}`+"\n", 10+i, 100*i)
+	}
+	split := line(3)
+	if _, err := io.WriteString(conn, line(0)+line(1)+line(2)+split[:17]); err != nil {
+		t.Fatal(err)
+	}
+	m := srv.Metrics()
+	waitFor(t, "the complete lines before a split one", func() bool { return m.ObservationsIngested.Load() == 3 })
+	if _, err := io.WriteString(conn, split[17:]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the split line", func() bool { return m.ObservationsIngested.Load() == 4 })
 }
 
 // TestServerGracefulShutdown: cancelling the serve context drains
