@@ -6,17 +6,19 @@
 // as an NDJSON event stream to every connected client. An HTTP admin
 // surface exposes /healthz and /metrics.
 //
-// Live mode:
-//
 //	voiceprintd -listen 127.0.0.1:8474 -admin 127.0.0.1:8475 \
-//	            [-k 0.000025 -b 0.0067] [-observation 20s -period 20s] [-fusion]
+//	            [-k K -b B] [-observation 20s -period 20s] [-fusion]
+//
+// With no detection flags the daemon runs service.DefaultMonitorConfig,
+// the posture the committed scorecard (SCORECARD.json) grades: the
+// EXPERIMENTS.md Figure 10 boundary fit and the paper's 2-of-3
+// multi-period confirmation. -k and -b override the boundary.
 //
 // -fusion enables the multi-signal detector: observations may carry a
 // schema-1 "pos" field with the sender's claimed coordinates, graded by
 // the claimed-position consistency signal inside every monitor and by
 // the cross-receiver co-observation clique coordinator on synchronized
-// detection rounds (live mode; replay rounds are per-receiver and skip
-// the coordinator). Verdict events then carry per-signal attribution in
+// detection rounds. Verdict events then carry per-signal attribution in
 // a "signals" field.
 //
 // One observation per line, one verdict event per round per receiver:
@@ -25,13 +27,8 @@
 //	← {"type":"round","recv":901,"t_ms":20000,"density":4.5,
 //	   "considered":9,"suspects":[1,101,102],"confirmed":[1,101,102]}
 //
-// Replay mode feeds a recorded trace CSV (the cmd/vanet-sim format)
-// through the same ingest path at a configurable speedup and writes the
-// event stream to stdout; -speed 0 replays as fast as the detector
-// keeps up, making `voiceprintd -replay trace.csv` a drop-in streaming
-// equivalent of `voiceprint -trace trace.csv`:
-//
-//	voiceprintd -replay trace.csv [-speed 10]
+// To run the detector over a recorded trace CSV instead, use
+// cmd/voiceprint.
 package main
 
 import (
@@ -62,88 +59,64 @@ func main() {
 	}
 }
 
-func run() error {
-	listen := flag.String("listen", "127.0.0.1:8474", "TCP ingest/event listen address")
-	socket := flag.String("socket", "", "Unix socket path (overrides -listen)")
-	admin := flag.String("admin", "", "HTTP admin listen address (/healthz, /metrics); empty disables")
-	k := flag.Float64("k", 0.000025, "boundary slope (Figure 10)")
-	b := flag.Float64("b", 0.0067, "boundary intercept (Figure 10)")
-	observation := flag.Duration("observation", 20*time.Second, "observation window")
-	period := flag.Duration("period", 20*time.Second, "detection period")
-	maxRange := flag.Float64("range", 1000, "max transmission range (m), for Eq 9 density estimation")
-	confirmWindow := flag.Int("confirm-window", 1, "confirmation window N (rounds)")
-	confirmNeed := flag.Int("confirm-need", 1, "flags needed within the window (K of N)")
-	evictAfter := flag.Duration("evict-after", 0, "drop identities silent this long (0 = 2x observation)")
-	tolerance := flag.Duration("reorder-tolerance", 500*time.Millisecond, "accept observations up to this far out of order (negative = strict ordering)")
-	workers := flag.Int("workers", 0, "detection round worker pool size (0 = GOMAXPROCS)")
-	fusionOn := flag.Bool("fusion", false, "enable the multi-signal fusion detector: claimed-position consistency per monitor plus cross-receiver co-observation cliques on synchronized rounds")
-	ingestBuffer := flag.Int("ingest-buffer", 0, "per-connection bound on lines decoded but not yet applied (0 = default 4096)")
-	eventBuffer := flag.Int("event-buffer", 0, "per-connection outbound verdict buffer (0 = default 256)")
-	maxLineBytes := flag.Int("max-line-bytes", 0, "max inbound NDJSON line length (0 = default 64KiB)")
-	idleTimeout := flag.Duration("idle-timeout", 0, "disconnect clients silent this long (0 disables; pure subscribers never write)")
-	writeTimeout := flag.Duration("write-timeout", 0, "evict clients whose event write blocks this long (0 = default 5s)")
-	drainTimeout := flag.Duration("drain-timeout", 0, "graceful-shutdown flush budget before force-closing connections (0 = default 2s)")
-	replay := flag.String("replay", "", "replay a trace CSV through the ingest path and exit")
-	speed := flag.Float64("speed", 0, "replay speedup vs stream time (0 = as fast as possible)")
-	walDir := flag.String("wal-dir", "", "write-ahead log directory for durable detection state (empty disables)")
-	walFsync := flag.String("wal-fsync", "interval", "WAL fsync policy: always, interval (group commit) or none")
-	walFsyncInterval := flag.Duration("wal-fsync-interval", 0, "group-commit fsync period under -wal-fsync interval (0 = default 5ms)")
-	snapshotInterval := flag.Duration("snapshot-interval", 0, "periodic WAL compaction cadence (0 = default 5m, negative disables)")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-	pprofFlag := flag.Bool("pprof", false, "expose /debug/pprof and /debug/vars on the admin address")
-	showVersion := flag.Bool("version", false, "print the build version and exit")
-	flag.Parse()
+// daemonConfig is what the command line decides.
+type daemonConfig struct {
+	svc         service.Config
+	admin       string
+	logLevel    slog.Level
+	pprof       bool
+	showVersion bool
+}
 
-	ver := buildVersion()
-	if *showVersion {
-		fmt.Printf("voiceprintd %s %s\n", ver, runtime.Version())
-		return nil
+// configFromFlags parses args into the daemon's configuration. Every
+// detection flag defaults to service.DefaultMonitorConfig, so a daemon
+// run with no flags ships the posture the scorecard grades.
+func configFromFlags(fs *flag.FlagSet, args []string) (daemonConfig, error) {
+	mon := service.DefaultMonitorConfig()
+	listen := fs.String("listen", "127.0.0.1:8474", "TCP ingest/event listen address")
+	socket := fs.String("socket", "", "Unix socket path (overrides -listen)")
+	admin := fs.String("admin", "", "HTTP admin listen address (/healthz, /metrics); empty disables")
+	k := fs.Float64("k", mon.Detector.Boundary.K, "boundary slope (Figure 10)")
+	b := fs.Float64("b", mon.Detector.Boundary.B, "boundary intercept (Figure 10)")
+	observation := fs.Duration("observation", mon.Detector.ObservationTime, "observation window")
+	period := fs.Duration("period", 20*time.Second, "detection period")
+	maxRange := fs.Float64("range", 1000, "max transmission range (m), for Eq 9 density estimation")
+	evictAfter := fs.Duration("evict-after", mon.EvictAfter, "drop identities silent this long (0 = 2x -observation)")
+	tolerance := fs.Duration("reorder-tolerance", mon.ReorderTolerance, "accept observations up to this far out of order (negative = strict ordering)")
+	workers := fs.Int("workers", 0, "detection round worker pool size (0 = GOMAXPROCS)")
+	fusionOn := fs.Bool("fusion", false, "enable the multi-signal fusion detector: claimed-position consistency per monitor plus cross-receiver co-observation cliques on synchronized rounds")
+	ingestBuffer := fs.Int("ingest-buffer", 0, "per-connection bound on lines decoded but not yet applied (0 = default 4096)")
+	eventBuffer := fs.Int("event-buffer", 0, "per-connection outbound verdict buffer (0 = default 256)")
+	maxLineBytes := fs.Int("max-line-bytes", 0, "max inbound NDJSON line length (0 = default 64KiB)")
+	idleTimeout := fs.Duration("idle-timeout", 0, "disconnect clients silent this long (0 disables; pure subscribers never write)")
+	writeTimeout := fs.Duration("write-timeout", 0, "evict clients whose event write blocks this long (0 = default 5s)")
+	drainTimeout := fs.Duration("drain-timeout", 0, "graceful-shutdown flush budget before force-closing connections (0 = default 2s)")
+	walDir := fs.String("wal-dir", "", "write-ahead log directory for durable detection state (empty disables)")
+	walFsync := fs.String("wal-fsync", "interval", "WAL fsync policy: always, interval (group commit) or none")
+	walFsyncInterval := fs.Duration("wal-fsync-interval", 0, "group-commit fsync period under -wal-fsync interval (0 = default 5ms)")
+	snapshotInterval := fs.Duration("snapshot-interval", 0, "periodic WAL compaction cadence (0 = default 5m, negative disables)")
+	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
+	pprofFlag := fs.Bool("pprof", false, "expose /debug/pprof and /debug/vars on the admin address")
+	showVersion := fs.Bool("version", false, "print the build version and exit")
+	if err := fs.Parse(args); err != nil {
+		return daemonConfig{}, err
 	}
 
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
-		return fmt.Errorf("-log-level %q: %w", *logLevel, err)
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
-	logger.Info("voiceprintd: starting", "version", ver, "go", runtime.Version())
-
-	regCfg := service.RegistryConfig{
-		Monitor: core.MonitorConfig{
-			Detector:         core.DefaultConfig(lda.Boundary{K: *k, B: *b}),
-			MaxRangeM:        *maxRange,
-			ConfirmWindow:    *confirmWindow,
-			ConfirmNeed:      *confirmNeed,
-			EvictAfter:       *evictAfter,
-			ReorderTolerance: *tolerance,
-		},
-	}
-	regCfg.Monitor.Detector.ObservationTime = *observation
-	regCfg.Monitor.Detector.Workers = *workers
-	// Pruning leaves verdicts bit-identical: only a pair that cannot be
-	// flagged keeps a lower bound in place of its distance, and events
-	// carry no distances.
-	regCfg.Monitor.Detector.LBPrune = true
-
-	var coord service.RoundCoordinator
-	if *fusionOn {
-		regCfg.Monitor.Fusion = core.FusionOptions{
-			Enabled: true,
-			Signals: []core.Signal{fusion.NewPositionSignal()},
-		}
-		coord = fusion.NewCoordinator()
+	dc := daemonConfig{admin: *admin, pprof: *pprofFlag, showVersion: *showVersion}
+	if err := dc.logLevel.UnmarshalText([]byte(*logLevel)); err != nil {
+		return daemonConfig{}, fmt.Errorf("-log-level %q: %w", *logLevel, err)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *replay != "" {
-		return runReplay(ctx, *replay, regCfg, *period, *speed, logger)
-	}
-
-	cfg := service.Config{
+	mon.Detector.Boundary = lda.Boundary{K: *k, B: *b}
+	mon.Detector.ObservationTime = *observation
+	mon.Detector.Workers = *workers
+	mon.MaxRangeM = *maxRange
+	mon.EvictAfter = *evictAfter
+	mon.ReorderTolerance = *tolerance
+	dc.svc = service.Config{
 		Network:      "tcp",
 		Addr:         *listen,
-		Registry:     regCfg,
+		Registry:     service.RegistryConfig{Monitor: mon},
 		Period:       *period,
 		Workers:      *workers,
 		IngestBuffer: *ingestBuffer,
@@ -152,44 +125,71 @@ func run() error {
 		IdleTimeout:  *idleTimeout,
 		WriteTimeout: *writeTimeout,
 		DrainTimeout: *drainTimeout,
-		Coordinator:  coord,
-		Logger:       logger,
+	}
+	if *fusionOn {
+		dc.svc.Registry.Monitor.Fusion = core.FusionOptions{
+			Enabled: true,
+			Signals: []core.Signal{fusion.NewPositionSignal()},
+		}
+		dc.svc.Coordinator = fusion.NewCoordinator()
 	}
 	if *socket != "" {
-		cfg.Network, cfg.Addr = "unix", *socket
+		dc.svc.Network, dc.svc.Addr = "unix", *socket
 	}
 	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*walFsync)
 		if err != nil {
-			return fmt.Errorf("-wal-fsync: %w", err)
+			return daemonConfig{}, fmt.Errorf("-wal-fsync: %w", err)
 		}
-		cfg.WAL = &service.WALConfig{
+		dc.svc.WAL = &service.WALConfig{
 			Dir:              *walDir,
 			Fsync:            policy,
 			FsyncInterval:    *walFsyncInterval,
 			SnapshotInterval: *snapshotInterval,
 		}
 	}
+	return dc, nil
+}
+
+func run() error {
+	dc, err := configFromFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		return err
+	}
+	ver := buildVersion()
+	if dc.showVersion {
+		fmt.Printf("voiceprintd %s %s\n", ver, runtime.Version())
+		return nil
+	}
+
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: dc.logLevel}))
+	logger.Info("voiceprintd: starting", "version", ver, "go", runtime.Version())
+	cfg := dc.svc
+	cfg.Logger = logger
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	srv, err := service.NewServer(cfg)
 	if err != nil {
 		return err
 	}
 	logger.Info("voiceprintd: ingest listening",
-		"network", cfg.Network, "addr", srv.Addr().String(), "period", *period)
+		"network", cfg.Network, "addr", srv.Addr().String(), "period", cfg.Period)
 
-	if *admin != "" {
+	if dc.admin != "" {
 		adminCfg := service.AdminConfig{
 			Metrics:  srv.Metrics(),
 			Registry: srv.Registry(),
 			Health:   srv.Health,
 			Version:  ver,
-			Pprof:    *pprofFlag,
+			Pprof:    dc.pprof,
 		}
-		if *walDir != "" {
+		if cfg.WAL != nil {
 			adminCfg.Snapshot = srv.Snapshot
 		}
 		adminSrv := &http.Server{
-			Addr:    *admin,
+			Addr:    dc.admin,
 			Handler: service.NewAdminHandler(adminCfg),
 		}
 		go func() {
@@ -198,7 +198,7 @@ func run() error {
 			}
 		}()
 		defer adminSrv.Close()
-		logger.Info("voiceprintd: admin listening", "addr", *admin, "pprof", *pprofFlag)
+		logger.Info("voiceprintd: admin listening", "addr", dc.admin, "pprof", dc.pprof)
 	}
 
 	err = srv.Serve(ctx)
@@ -241,32 +241,4 @@ func buildVersion() string {
 		ver += "+dirty"
 	}
 	return ver
-}
-
-// runReplay streams a trace CSV through the ingest path, printing the
-// verdict event stream to stdout.
-func runReplay(ctx context.Context, path string, regCfg service.RegistryConfig, period time.Duration, speed float64, logger *slog.Logger) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	metrics := &service.Metrics{}
-	_, err = service.Replay(ctx, f, service.ReplayConfig{
-		Registry: regCfg,
-		Period:   period,
-		Speed:    speed,
-	}, metrics, func(out service.RoundOutcome) {
-		os.Stdout.Write(service.EventFromOutcome(out).Encode())
-	})
-	if err != nil {
-		return err
-	}
-	snap := metrics.Snapshot()
-	logger.Info("voiceprintd: replay done",
-		"observations", snap["observations_ingested_total"],
-		"rounds", snap["rounds_run_total"],
-		"suspects_flagged", snap["suspects_flagged_total"],
-		"stale_dropped", snap["stale_dropped_total"])
-	return nil
 }

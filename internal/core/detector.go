@@ -114,8 +114,8 @@ type Config struct {
 	// recomputed — but a pruned pair's Raw/Normalized are bounds, not
 	// distances, and a bound may sit at or below the pair's cap. The zero
 	// value (off) is the bare-library default so training-data harvesting
-	// and the figure pipelines keep seeing true distances; voiceprintd
-	// always prunes. Pruning requires a Sakoe-Chiba band: with
+	// and the figure pipelines keep seeing true distances; the service
+	// posture (service.DefaultMonitorConfig) prunes. Pruning requires a Sakoe-Chiba band: with
 	// BandRadius < 0 (unconstrained-FastDTW ablation) the flag is ignored.
 	LBPrune bool
 	// Workers bounds the goroutines used for the O(n²) pairwise DTW

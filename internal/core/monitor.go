@@ -71,8 +71,9 @@ type MonitorConfig struct {
 	// MaxRangeM is Dist_max for density estimation; zero means 400 m.
 	MaxRangeM float64
 	// ConfirmWindow and ConfirmNeed set the multi-period confirmation
-	// rule; zero means 3-of-5 is NOT applied (confirm on first flag:
-	// window 1, need 1).
+	// rule: an identity is confirmed once flagged in ConfirmNeed of the
+	// last ConfirmWindow rounds. A zero ConfirmWindow means 1-of-1
+	// (confirm on the first flag).
 	ConfirmWindow, ConfirmNeed int
 	// EvictAfter drops identities not heard for this long; zero means
 	// twice the detector's observation time.

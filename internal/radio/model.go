@@ -91,17 +91,6 @@ func RxPowerDBm(txEIRPdBm, rxGainDBi, pathLossDB float64) float64 {
 	return txEIRPdBm + rxGainDBi - pathLossDB
 }
 
-// ClipToSensitivity models the radio's RSSI floor: values below the RX
-// sensitivity read as the sensitivity itself (the paper's field test notes
-// far receivers log -95 dBm floors). Reception decisions use the unclipped
-// power; only the logged RSSI is clipped.
-func ClipToSensitivity(rssiDBm float64) float64 {
-	if rssiDBm < RXSensitivityDBm {
-		return RXSensitivityDBm
-	}
-	return rssiDBm
-}
-
 // Wavelength returns c/f in meters.
 func Wavelength(freqHz float64) float64 {
 	return SpeedOfLight / freqHz

@@ -197,15 +197,9 @@ func TestRayleighFading(t *testing.T) {
 	}
 }
 
-func TestRxPowerAndClip(t *testing.T) {
+func TestRxPowerDBm(t *testing.T) {
 	if got := RxPowerDBm(20, 7, 100); got != -73 {
 		t.Errorf("RxPower = %v, want -73", got)
-	}
-	if got := ClipToSensitivity(-120); got != RXSensitivityDBm {
-		t.Errorf("clip(-120) = %v, want %v", got, RXSensitivityDBm)
-	}
-	if got := ClipToSensitivity(-60); got != -60 {
-		t.Errorf("clip(-60) = %v, want -60", got)
 	}
 }
 
@@ -303,18 +297,6 @@ func TestStaticChannel(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(54))
 	_ = ch.SamplePathLossDB(0, 100, rng) // must not panic
-}
-
-func TestDefaultSwitchSet(t *testing.T) {
-	set := DefaultSwitchSet(DSRCFrequencyHz)
-	if len(set) < 2 {
-		t.Fatalf("switch set has %d models, want >= 2", len(set))
-	}
-	for _, m := range set {
-		if err := m.(DualSlope).Params.Validate(); err != nil {
-			t.Errorf("invalid params in switch set: %v", err)
-		}
-	}
 }
 
 func TestNakagamiUnitMeanGain(t *testing.T) {

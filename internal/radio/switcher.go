@@ -52,18 +52,6 @@ func (s *Switcher) MeanPathLossDB(t time.Duration, d float64) float64 {
 	return s.ModelAt(t).MeanPathLossDB(d)
 }
 
-// DefaultSwitchSet returns the dual-slope models the Figure 11b experiment
-// cycles through: the three Table IV environments plus the highway set,
-// i.e. the channel repeatedly "becomes a different place".
-func DefaultSwitchSet(freqHz float64) []Model {
-	return []Model{
-		DualSlope{Params: HighwayParams, FreqHz: freqHz},
-		DualSlope{Params: UrbanParams, FreqHz: freqHz},
-		DualSlope{Params: CampusParams, FreqHz: freqHz},
-		DualSlope{Params: RuralParams, FreqHz: freqHz},
-	}
-}
-
 // ShadowSigmaDB implements Channel.
 func (s *Switcher) ShadowSigmaDB(t time.Duration, d float64) float64 {
 	return s.ModelAt(t).ShadowSigmaDB(d)

@@ -21,7 +21,6 @@ import (
 
 	"voiceprint/internal/core"
 	"voiceprint/internal/fusion"
-	"voiceprint/internal/lda"
 	"voiceprint/internal/metrics"
 	"voiceprint/internal/service"
 	"voiceprint/internal/testkit"
@@ -71,27 +70,19 @@ func Specs() []Spec {
 	return specs
 }
 
-// Boundary is the trained LDA boundary the scorecard grades with — the
-// EXPERIMENTS.md fit, held constant so scorecard deltas measure the
-// pipeline, not boundary retraining.
-func Boundary() lda.Boundary { return lda.Boundary{K: 0.000022, B: 0.0067} }
-
 // serviceConfig is the daemon configuration every scenario replays
-// through: trained boundary, the paper's 2-of-3 confirmation, pruning
-// on as voiceprintd deploys it, and an ingest buffer sized so a clean
-// replay never sheds (the conservation check holds Run to that).
-// maxRangeM is Equation 9's Dist_max for density estimation, matched
-// to the scenario's reception range as the sweep simulations do.
+// through: voiceprintd's shipped posture (service.DefaultMonitorConfig),
+// so the card grades what the daemon runs, with an ingest buffer sized
+// so a clean replay never sheds (the conservation check holds Run to
+// that). maxRangeM is Equation 9's Dist_max for density estimation,
+// matched to the scenario's reception range as the sweep simulations
+// do. The boundary is held constant so scorecard deltas measure the
+// pipeline, not boundary retraining.
 func serviceConfig(maxRangeM float64) service.Config {
-	det := core.DefaultConfig(Boundary())
-	det.LBPrune = true
+	mon := service.DefaultMonitorConfig()
+	mon.MaxRangeM = maxRangeM
 	return service.Config{
-		Registry: service.RegistryConfig{Monitor: core.MonitorConfig{
-			Detector:      det,
-			ConfirmWindow: 3,
-			ConfirmNeed:   2,
-			MaxRangeM:     maxRangeM,
-		}},
+		Registry:     service.RegistryConfig{Monitor: mon},
 		IngestBuffer: 1 << 15,
 	}
 }
@@ -307,7 +298,7 @@ func RunAllFused(ctx context.Context) (Card, error) {
 }
 
 func runAll(ctx context.Context, fused bool) (Card, error) {
-	b := Boundary()
+	b := service.DefaultMonitorConfig().Detector.Boundary
 	card := Card{Seed: CampaignSeed, BoundaryK: b.K, BoundaryB: b.B}
 	for _, spec := range Specs() {
 		row, err := run(ctx, spec, fused)

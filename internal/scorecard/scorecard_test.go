@@ -3,10 +3,15 @@ package scorecard
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"voiceprint/internal/core"
+	"voiceprint/internal/fusion"
+	"voiceprint/internal/lda"
+	"voiceprint/internal/service"
 	"voiceprint/internal/vanet"
 )
 
@@ -26,6 +31,42 @@ func TestSpecsCoverEveryCampaignKind(t *testing.T) {
 	for _, k := range kinds {
 		if !seen[k] {
 			t.Errorf("kind %s missing from Specs()", k)
+		}
+	}
+}
+
+// TestFusionConfigUnchanged pins the configuration the benchmark module
+// runs to the literal the scorecard graded before the posture moved into
+// service.DefaultMonitorConfig. That literal left eviction and reorder
+// tolerance zero; they are filled in here with the values the monitor
+// (twice the window) and the registry resolved zero to, which the posture
+// now states outright.
+func TestFusionConfigUnchanged(t *testing.T) {
+	for _, maxRangeM := range []float64{0, 300, 1000} {
+		det := core.DefaultConfig(lda.Boundary{K: 0.000022, B: 0.0067})
+		det.LBPrune = true
+		want := service.Config{
+			Registry: service.RegistryConfig{Monitor: core.MonitorConfig{
+				Detector:         det,
+				ConfirmWindow:    3,
+				ConfirmNeed:      2,
+				MaxRangeM:        maxRangeM,
+				EvictAfter:       2 * det.ObservationTime,
+				ReorderTolerance: 500 * time.Millisecond,
+				Fusion: core.FusionOptions{
+					Enabled: true,
+					Signals: []core.Signal{fusion.NewPositionSignal()},
+				},
+			}},
+			IngestBuffer: 1 << 15,
+			Coordinator:  fusion.NewCoordinator(),
+		}
+		got, err := FusionConfig(maxRangeM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("FusionConfig(%v) =\n%+v\nwant\n%+v", maxRangeM, got, want)
 		}
 	}
 }

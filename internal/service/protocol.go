@@ -18,9 +18,10 @@
 //     buffers (explicit drop accounting instead of unbounded memory),
 //     an event broadcast fan-out, and an HTTP admin surface.
 //
-// Replay mode feeds a recorded trace CSV through the same ingest path at
-// a configurable speedup, so the daemon is testable against the offline
-// fixtures and cmd/voiceprint is just "replay at infinite speed".
+// Replay feeds a recorded trace CSV through the same ingest path as fast
+// as the detector keeps up, so the daemon's pipeline is testable against
+// the offline fixtures and cmd/voiceprint is a thin shell over it.
+// DefaultMonitorConfig is the one detection posture both start from.
 package service
 
 import (

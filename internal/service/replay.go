@@ -21,17 +21,14 @@ type ReplayConfig struct {
 	// makes replay reproducible and byte-comparable with the offline
 	// batch CLI. Zero means the monitor's observation window.
 	Period time.Duration
-	// Speed is the replay speedup relative to stream time: 1 replays in
-	// real time, 10 at ten times real time; zero or negative replays as
-	// fast as the detector keeps up.
-	Speed float64
 }
 
-// Replay feeds a recorded trace CSV (the cmd/vanet-sim format) through
-// the same ingest path as the live server — per-record registry routing
-// with reorder tolerance and drop accounting — firing a detection round
-// for a receiver each time that receiver's stream crosses a period
-// boundary, and handing each outcome to sink in stream order. Boundaries
+// Replay feeds a recorded trace CSV (the cmd/vanet-sim format), as fast
+// as the detector keeps up, through the same ingest path as the live
+// server — per-record registry routing with reorder tolerance and drop
+// accounting — firing a detection round for a receiver each time that
+// receiver's stream crosses a period boundary, and handing each outcome
+// to sink in stream order. Boundaries
 // are clocked per receiver, so replay is insensitive to whether the
 // trace is globally time-sorted or grouped by receiver (cmd/vanet-sim
 // writes one block per observer). metrics may be nil; sink may be nil.
@@ -70,22 +67,9 @@ func Replay(ctx context.Context, r io.Reader, cfg ReplayConfig, metrics *Metrics
 	}
 
 	next := make(map[vanet.NodeID]time.Duration)
-	start := time.Now()
 	err = trace.ScanCSV(r, func(rec trace.Record) error {
 		if err := ctx.Err(); err != nil {
 			return err
-		}
-		if cfg.Speed > 0 {
-			target := start.Add(time.Duration(float64(rec.T) / cfg.Speed))
-			if d := time.Until(target); d > 0 {
-				t := time.NewTimer(d)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return ctx.Err()
-				}
-			}
 		}
 		// Fire every boundary this receiver's stream has crossed; a
 		// record landing exactly on a boundary is observed after that

@@ -263,28 +263,6 @@ func TestReplayMatchesOfflineBatch(t *testing.T) {
 	}
 }
 
-// TestReplayPaced covers the speedup path: a paced replay returns the
-// same rounds, just slower.
-func TestReplayPaced(t *testing.T) {
-	records := sybilTrace(8, []vanet.NodeID{901}, 3, 21*time.Second)
-	rounds := 0
-	start := time.Now()
-	_, err := Replay(context.Background(), recordsCSV(t, records), ReplayConfig{
-		Registry: RegistryConfig{Monitor: testMonitorConfig()},
-		Period:   20 * time.Second,
-		Speed:    400, // 21 s of stream in ~50 ms
-	}, nil, func(out RoundOutcome) { rounds++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rounds != 2 {
-		t.Errorf("rounds = %d, want 2", rounds)
-	}
-	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
-		t.Errorf("paced replay finished in %v, want >= 40ms of pacing", elapsed)
-	}
-}
-
 // TestReplayCancellation: a cancelled context aborts mid-trace.
 func TestReplayCancellation(t *testing.T) {
 	records := sybilTrace(9, []vanet.NodeID{901}, 3, 30*time.Second)

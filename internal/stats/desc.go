@@ -56,11 +56,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// SampleStdDev returns the unbiased sample standard deviation of xs.
-func SampleStdDev(xs []float64) float64 {
-	return math.Sqrt(SampleVariance(xs))
-}
-
 // MinMax returns the smallest and largest values in xs.
 // It returns ErrEmpty when xs is empty.
 func MinMax(xs []float64) (lo, hi float64, err error) {

@@ -248,13 +248,6 @@ func TestEstimateAR1Noise(t *testing.T) {
 	}
 }
 
-func TestSampleStdDev(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := SampleStdDev(xs); !almostEqual(got, math.Sqrt(2.5), 1e-12) {
-		t.Errorf("SampleStdDev = %v, want sqrt(2.5)", got)
-	}
-}
-
 func TestSkewnessKurtosisDegenerate(t *testing.T) {
 	if Skewness([]float64{5}) != 0 || Kurtosis([]float64{5}) != 0 {
 		t.Error("single sample should yield 0 moments")

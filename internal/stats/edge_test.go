@@ -23,7 +23,6 @@ func TestDegenerateSamplesYieldFiniteValues(t *testing.T) {
 			"Variance":       Variance,
 			"SampleVariance": SampleVariance,
 			"StdDev":         StdDev,
-			"SampleStdDev":   SampleStdDev,
 			"Skewness":       Skewness,
 			"Kurtosis":       Kurtosis,
 			"RobustDiffStd":  RobustDiffStd,

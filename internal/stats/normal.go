@@ -17,15 +17,6 @@ func NormalCDF(x, mu, sigma float64) float64 {
 	return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2))
 }
 
-// NormalPDF returns the density of N(mu, sigma^2) at x.
-func NormalPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		return 0
-	}
-	z := (x - mu) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
-}
-
 // NormalQuantile returns the q-quantile of the standard normal distribution
 // using the Acklam rational approximation (relative error < 1.15e-9).
 // q outside (0,1) returns +-Inf.

@@ -16,25 +16,6 @@ type TestResult struct {
 	Reject bool
 }
 
-// ZTestMean tests H0: the sample xs has mean mu, given a known population
-// standard deviation sigma, at significance level alpha (two-sided).
-// The CPVSAD baseline uses it to test observed RSSI samples against the
-// power expected at a claimed position under a shadowing model.
-func ZTestMean(xs []float64, mu, sigma, alpha float64) (TestResult, error) {
-	if len(xs) == 0 {
-		return TestResult{}, ErrEmpty
-	}
-	if sigma <= 0 {
-		return TestResult{}, errors.New("stats: z-test needs sigma > 0")
-	}
-	if alpha <= 0 || alpha >= 1 {
-		return TestResult{}, errors.New("stats: z-test needs alpha in (0,1)")
-	}
-	z := (Mean(xs) - mu) / (sigma / math.Sqrt(float64(len(xs))))
-	p := 2 * (1 - NormalCDF(math.Abs(z), 0, 1))
-	return TestResult{Statistic: z, PValue: p, Reject: p < alpha}, nil
-}
-
 // ChiSquareNormality tests H0: xs is drawn from a normal distribution with
 // the sample's own mean and standard deviation, by binning into nbins
 // equal-probability bins and comparing observed vs expected counts.
@@ -83,21 +64,6 @@ func ChiSquareNormality(xs []float64, nbins int, alpha float64) (TestResult, err
 	return TestResult{Statistic: stat, PValue: p, Reject: p < alpha}, nil
 }
 
-// JarqueBera tests H0: xs is normally distributed, using sample skewness
-// and kurtosis. The statistic is asymptotically chi-square with 2 degrees
-// of freedom.
-func JarqueBera(xs []float64, alpha float64) (TestResult, error) {
-	if len(xs) < 8 {
-		return TestResult{}, errors.New("stats: Jarque-Bera needs >=8 samples")
-	}
-	n := float64(len(xs))
-	s := Skewness(xs)
-	k := Kurtosis(xs)
-	jb := n / 6 * (s*s + k*k/4)
-	p := 1 - chiSquareCDF(jb, 2)
-	return TestResult{Statistic: jb, PValue: p, Reject: p < alpha}, nil
-}
-
 // ChiSquareCDF returns P(X <= x) for a chi-square distribution with k
 // degrees of freedom.
 func ChiSquareCDF(x float64, k int) float64 {
@@ -127,30 +93,4 @@ func FisherCombine(ps []float64, alpha float64) (TestResult, error) {
 	}
 	combined := 1 - chiSquareCDF(x, 2*len(ps))
 	return TestResult{Statistic: x, PValue: combined, Reject: combined < alpha}, nil
-}
-
-// WelchTTest tests H0: two samples have equal means, without assuming equal
-// variances. The t statistic is evaluated against a normal approximation,
-// which is accurate for the sample sizes used here (hundreds of RSSI
-// readings).
-func WelchTTest(xs, ys []float64, alpha float64) (TestResult, error) {
-	if len(xs) < 2 || len(ys) < 2 {
-		return TestResult{}, errors.New("stats: Welch t-test needs >=2 samples per group")
-	}
-	vx := SampleVariance(xs) / float64(len(xs))
-	vy := SampleVariance(ys) / float64(len(ys))
-	// Variances are non-negative; <= catches exactly the two-constant
-	// case, and NaN input (NaN variance) falls through to the t statistic.
-	if vx+vy <= 0 {
-		// Both samples are constant, so the means are exact and equality
-		// is the right comparison.
-		equal := Mean(xs) == Mean(ys) //voiceprintvet:ignore nonfinite zero-variance samples have exact finite means
-		if equal {
-			return TestResult{Statistic: 0, PValue: 1, Reject: false}, nil
-		}
-		return TestResult{Statistic: math.Inf(1), PValue: 0, Reject: true}, nil
-	}
-	t := (Mean(xs) - Mean(ys)) / math.Sqrt(vx+vy)
-	p := 2 * (1 - NormalCDF(math.Abs(t), 0, 1))
-	return TestResult{Statistic: t, PValue: p, Reject: p < alpha}, nil
 }

@@ -1,26 +1,12 @@
 package timeseries
 
 import (
-	"math"
 	"math/rand"
 	"time"
 )
 
 // Generator options produce synthetic RSSI-like series for tests, the DTW
 // accuracy experiment, and documentation examples.
-
-// GenSine returns a sinusoid with the given amplitude, period (in samples),
-// vertical offset, and additive Gaussian noise drawn from rng.
-func GenSine(n int, amplitude float64, periodSamples float64, offset, noiseStd float64, samplePeriod time.Duration, rng *rand.Rand) *Series {
-	values := make([]float64, n)
-	for i := range values {
-		values[i] = offset + float64(amplitude*math.Sin(2*math.Pi*float64(i)/periodSamples))
-		if noiseStd > 0 {
-			values[i] += float64(noiseStd * rng.NormFloat64())
-		}
-	}
-	return FromValues(values, samplePeriod)
-}
 
 // GenRandomWalk returns a bounded random walk starting at start with steps
 // of standard deviation stepStd, clamped to [lo, hi]. RSSI traces from a
@@ -64,18 +50,6 @@ func Shift(s *Series, offsetDB float64) *Series {
 	out := &Series{buf: make([]Sample, len(live))}
 	for i, smp := range live {
 		out.buf[i] = Sample{T: smp.T, RSSI: smp.RSSI + offsetDB}
-	}
-	return out
-}
-
-// Scale returns a copy of s with values scaled by factor around the series
-// mean, modelling antenna-gain differences between heterogeneous OBUs.
-func Scale(s *Series, factor float64) *Series {
-	mu := s.Mean()
-	live := s.live()
-	out := &Series{buf: make([]Sample, len(live))}
-	for i, smp := range live {
-		out.buf[i] = Sample{T: smp.T, RSSI: mu + float64((smp.RSSI-mu)*factor)}
 	}
 	return out
 }

@@ -125,7 +125,11 @@ func TestZScoreShiftInvariance(t *testing.T) {
 		s := GenRandomWalk(50, -75, 1.5, -95, -40, beat, r)
 		shift := math.Mod(shiftRaw, 20)
 		scale := 0.5 + math.Abs(math.Mod(scaleRaw, 2))
-		shifted := Scale(Shift(s, shift), scale)
+		gained := s.Values()
+		for i := range gained {
+			gained[i] *= scale
+		}
+		shifted := Shift(FromValues(gained, beat), shift)
 		n1, err1 := s.ZScoreNormalize()
 		n2, err2 := shifted.ZScoreNormalize()
 		if err1 != nil || err2 != nil {
@@ -255,35 +259,11 @@ func TestDrop(t *testing.T) {
 	}
 }
 
-func TestShiftAndScale(t *testing.T) {
+func TestShift(t *testing.T) {
 	s := FromValues([]float64{-80, -70}, beat)
 	sh := Shift(s, 3)
 	if sh.At(0).RSSI != -77 || sh.At(1).RSSI != -67 {
 		t.Errorf("Shift = %v", sh.Values())
-	}
-	sc := Scale(s, 2)
-	// mean -75; scaled: -85, -65
-	if sc.At(0).RSSI != -85 || sc.At(1).RSSI != -65 {
-		t.Errorf("Scale = %v", sc.Values())
-	}
-}
-
-func TestGenSine(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	s := GenSine(100, 5, 20, -75, 0, beat, rng)
-	if s.Len() != 100 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	if !almostEqual(s.Mean(), -75, 0.5) {
-		t.Errorf("sine mean = %v, want ~-75", s.Mean())
-	}
-	lo, hi := s.Values()[0], s.Values()[0]
-	for _, v := range s.Values() {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if hi > -69.9 || lo < -80.1 {
-		t.Errorf("sine out of range: [%v, %v]", lo, hi)
 	}
 }
 
