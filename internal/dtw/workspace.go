@@ -19,8 +19,9 @@ import (
 // (GetWorkspace/PutWorkspace pool them across rounds).
 type Workspace struct {
 	// Rolling rows for the unconstrained O(N*M)-time, O(M)-memory DP
-	// and the banded kernel.
-	prev, cur []float64
+	// and the banded kernel, which steps two rows at a time and so
+	// needs a third.
+	prev, cur, next []float64
 	// Windowed-DP cell backing and per-row offsets into it.
 	cells []float64
 	offs  []int

@@ -15,21 +15,49 @@ const maxBatchLines = 1024
 
 // obsBatch is a run of decoded observations in arrival order: what the
 // reader decoded from one read of its connection, on its way to the
-// applier.
-type obsBatch struct{ obs []Observation }
+// applier. A canonical line's claimed position lives in pos at the
+// line's index, so decoding it allocates nothing; the applier copies X
+// and Y out before the batch is recycled.
+type obsBatch struct {
+	obs []Observation
+	pos []Position
+}
 
 // batchPool recycles batch storage across connections, so a connection
 // holds a batch only while it has lines in flight.
 var batchPool = sync.Pool{New: func() any {
-	return &obsBatch{obs: make([]Observation, 0, maxBatchLines)}
+	return &obsBatch{obs: make([]Observation, 0, maxBatchLines), pos: make([]Position, maxBatchLines)}
 }}
 
 func getBatch() *obsBatch { return batchPool.Get().(*obsBatch) }
 
 func putBatch(b *obsBatch) {
-	clear(b.obs) // drop the schema-1 *Position pointers
+	clear(b.obs) // drop the *Position pointers of lines json.Unmarshal decoded
 	b.obs = b.obs[:0]
 	batchPool.Put(b)
+}
+
+// decode parses and validates one line (ParseObservation) and appends
+// it to the batch, which must have room.
+func (b *obsBatch) decode(line []byte) error {
+	o, err := parseObservation(line, &b.pos[len(b.obs)])
+	if err == nil {
+		b.obs = append(b.obs, o)
+	}
+	return err
+}
+
+// merge appends obs, which must fit, copying claimed positions into the
+// batch's own storage: obs may point into a batch about to be recycled.
+func (b *obsBatch) merge(obs []Observation) {
+	for _, o := range obs {
+		if o.Pos != nil {
+			p := &b.pos[len(b.obs)]
+			*p = *o.Pos
+			o.Pos = p
+		}
+		b.obs = append(b.obs, o)
+	}
 }
 
 // ingestQueue hands one connection's batches from its reader to its
@@ -73,7 +101,7 @@ func (q *ingestQueue) admit(b *obsBatch) {
 	case k > 0 && len(q.batches[k-1].obs)+n <= maxBatchLines:
 		// The applier has not taken the last batch yet, so the wake-up
 		// that queued it covers these lines too.
-		q.batches[k-1].obs = append(q.batches[k-1].obs, b.obs...)
+		q.batches[k-1].merge(b.obs)
 	default:
 		q.batches = append(q.batches, b)
 		queued = true

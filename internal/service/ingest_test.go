@@ -193,3 +193,64 @@ func BenchmarkServerIngest(b *testing.B) {
 		})
 	}
 }
+
+// TestBatchDecodeAllocs pins the reader's decode into a batch at no
+// allocation per line, schema-1 lines included: the claimed position
+// goes into the batch's own storage rather than a new Position.
+func TestBatchDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	b := getBatch()
+	defer putBatch(b)
+	for _, line := range canonicalObservationLines[:2] {
+		line := []byte(line)
+		got := testing.AllocsPerRun(200, func() {
+			b.obs = b.obs[:0]
+			if err := b.decode(line); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("obsBatch.decode(%s): %v allocs, want 0", line, got)
+		}
+	}
+	if o := b.obs[0]; o.Pos != &b.pos[0] || *o.Pos != (Position{X: 42.5, Y: -3.75}) {
+		t.Fatalf("schema-1 line decoded to Pos %p %v, want %p {42.5 -3.75}", o.Pos, o.Pos, &b.pos[0])
+	}
+}
+
+// TestIngestMergeCopiesPositions admits a batch of positioned lines
+// behind one the applier has not taken, so it is merged and recycled,
+// then reuses the recycled batch's storage: the merged lines must keep
+// their own claimed positions.
+func TestIngestMergeCopiesPositions(t *testing.T) {
+	m := &Metrics{}
+	q := newIngestQueue(16, &m.BackpressureDropped)
+	line := func(sender int, x float64) []byte {
+		return fmt.Appendf(nil, `{"recv":1,"sender":%d,"t_ms":%d,"rssi":-70,"schema":1,"pos":{"x":%g,"y":1}}`, sender, sender, x)
+	}
+	first, second := getBatch(), getBatch()
+	for i := 0; i < 2; i++ {
+		if err := first.decode(line(i, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := second.decode(line(10+i, float64(10+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q.admit(first)
+	q.admit(second) // merged into first and recycled
+	for i := range second.pos {
+		second.pos[i] = Position{X: -1, Y: -1}
+	}
+	batches, ok := q.take(nil)
+	if !ok || len(batches) != 1 || len(batches[0].obs) != 4 {
+		t.Fatalf("take = %d batches, %v; want one merged batch of 4 lines", len(batches), ok)
+	}
+	for _, o := range batches[0].obs {
+		if want := (Position{X: float64(o.Sender), Y: 1}); o.Pos == nil || *o.Pos != want {
+			t.Errorf("sender %d: Pos %v, want %v", o.Sender, o.Pos, want)
+		}
+	}
+}

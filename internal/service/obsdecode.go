@@ -45,10 +45,11 @@ type obsScanner struct {
 }
 
 // scanObservation decodes line if it is a canonical observation line;
-// false means "not decided here", never "malformed". Validation
+// false means "not decided here", never "malformed". A claimed position
+// goes into *pos, or into a new Position when pos is nil. Validation
 // (negative t_ms, schema range, non-finite values) is left to the
 // caller, which applies it to both paths alike.
-func scanObservation(line []byte) (Observation, bool) {
+func scanObservation(line []byte, pos *Position) (Observation, bool) {
 	var o Observation
 	var seen uint8
 	var x, y float64
@@ -93,17 +94,22 @@ func scanObservation(line []byte) (Observation, bool) {
 		return Observation{}, false
 	}
 	if seen&keyPos != 0 {
-		o.Pos = newPosition(x, y)
+		if pos == nil {
+			pos = newPosition()
+		}
+		*pos = Position{X: x, Y: y}
+		o.Pos = pos
 	}
 	return o, true
 }
 
-// newPosition is the schema-1 path's one allocation, kept out of line so
-// the heap site stays in this frame rather than being inlined into
-// scanObservation, which runs once per ingested line.
+// newPosition is ParseObservation's one allocation on a schema-1 line,
+// kept out of line so it stays out of scanObservation's frame, which
+// runs once per ingested line. The server's reader passes batch storage
+// instead and allocates nothing.
 //
 //go:noinline
-func newPosition(x, y float64) *Position { return &Position{X: x, Y: y} }
+func newPosition() *Position { return new(Position) }
 
 // position decodes a pos object holding exactly one x and one y.
 func (s *obsScanner) position(x, y *float64) bool {

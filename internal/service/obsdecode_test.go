@@ -78,7 +78,7 @@ func TestScanObservationDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := scanObservation(line)
+		got, ok := scanObservation(line, nil)
 		if !ok {
 			t.Errorf("fast path declined json.Marshal output %s", line)
 			continue
@@ -92,12 +92,12 @@ func TestScanObservationDecisions(t *testing.T) {
 		}
 	}
 	for _, line := range canonicalObservationLines {
-		if _, ok := scanObservation([]byte(line)); !ok {
+		if _, ok := scanObservation([]byte(line), nil); !ok {
 			t.Errorf("fast path declined canonical line %q", line)
 		}
 	}
 	for _, line := range fallbackObservationLines {
-		if _, ok := scanObservation([]byte(line)); ok {
+		if _, ok := scanObservation([]byte(line), nil); ok {
 			t.Errorf("fast path decoded fallback line %q", line)
 		}
 	}

@@ -87,7 +87,13 @@ var ErrMalformed = errors.New("service: malformed observation")
 // hand-written scanner without allocating; any other line goes through
 // json.Unmarshal. Both paths yield the same values and the same errors.
 func ParseObservation(line []byte) (Observation, error) {
-	o, ok := scanObservation(line)
+	return parseObservation(line, nil)
+}
+
+// parseObservation is ParseObservation with a canonical line's claimed
+// position decoded into *pos, or into a new Position when pos is nil.
+func parseObservation(line []byte, pos *Position) (Observation, error) {
+	o, ok := scanObservation(line, pos)
 	if !ok {
 		var err error
 		if o, err = unmarshalObservation(line); err != nil {

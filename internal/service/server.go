@@ -614,15 +614,13 @@ func (s *Server) handleConn(c net.Conn) {
 		if len(line) == 0 {
 			continue
 		}
-		o, err := ParseObservation(line)
-		if err != nil {
-			s.metrics.MalformedDropped.Add(1)
-			continue
-		}
 		if batch == nil {
 			batch = getBatch()
 		}
-		batch.obs = append(batch.obs, o)
+		if err := batch.decode(line); err != nil {
+			s.metrics.MalformedDropped.Add(1)
+			continue
+		}
 		if len(batch.obs) == maxBatchLines {
 			handoff()
 		}

@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -105,8 +106,13 @@ func Median(xs []float64) (float64, error) {
 	return Quantile(xs, 0.5)
 }
 
-// QuantileInPlace is Quantile without the defensive copy: xs is sorted
-// in place. Hot paths use it with a reused scratch buffer.
+// QuantileInPlace is Quantile without the defensive copy: xs is
+// reordered in place. Hot paths use it with a reused scratch buffer.
+// Rather than sorting, it selects the order statistic below the
+// quantile's position (selectInPlace) and takes the one above as the
+// smallest value past it, so it returns what Quantile returns (a zero's
+// sign aside, which an unstable sort leaves unspecified too) in
+// expected linear time.
 func QuantileInPlace(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
@@ -114,23 +120,105 @@ func QuantileInPlace(xs []float64, q float64) (float64, error) {
 	if !(q >= 0 && q <= 1) { // also rejects NaN, which passes < and > checks
 		return 0, errors.New("stats: quantile out of [0,1]")
 	}
-	sort.Float64s(xs)
 	if len(xs) == 1 {
 		return xs[0], nil
 	}
 	pos := q * float64(len(xs)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
+	v := selectInPlace(xs, lo)
 	if lo == hi {
-		return xs[lo], nil
+		return v, nil
+	}
+	// Everything past lo sorts no earlier than v, NaNs first: a NaN at
+	// lo+1 stays the minimum, since nothing compares below it.
+	w := xs[hi]
+	for _, u := range xs[hi+1:] {
+		if u < w {
+			w = u
+		}
 	}
 	frac := pos - float64(lo)
-	return xs[lo]*(1-frac) + xs[hi]*frac, nil
+	return v*(1-frac) + w*frac, nil
 }
 
-// MedianInPlace returns the median of xs, sorting xs in place.
+// MedianInPlace returns the median of xs, reordering xs in place.
 func MedianInPlace(xs []float64) (float64, error) {
 	return QuantileInPlace(xs, 0.5)
+}
+
+// selectInPlace reorders xs so that xs[k] holds a value sort.Float64s
+// would put at index k, nothing before it sorts later and nothing after
+// it sorts earlier, and returns xs[k]. Like sort.Float64s it orders NaN
+// first: NaNs are gathered at the front and the rest goes to
+// quickselect, with a budget of 2·log2(n) partitions.
+func selectInPlace(xs []float64, k int) float64 {
+	nan := 0
+	for i, v := range xs {
+		if math.IsNaN(v) {
+			xs[i], xs[nan] = xs[nan], v
+			nan++
+		}
+	}
+	if k < nan {
+		return xs[k]
+	}
+	s := xs[nan:]
+	return quickselect(s, k-nan, 2*bits.Len(uint(len(s))))
+}
+
+// quickselect is selectInPlace on a NaN-free s: three-way partitions
+// around the median of the values a quarter, half and three quarters of
+// the way through the range (so sorted, reversed and rise-then-fall
+// inputs split evenly), insertion sort once the range holds at most 12
+// values. A range still larger after budget partitions is sorted, which
+// bounds the worst case at O(n log n).
+func quickselect(s []float64, k, budget int) float64 {
+	lo, hi := 0, len(s)-1
+	for ; hi-lo >= 12; budget-- {
+		if budget == 0 {
+			sort.Float64s(s[lo : hi+1])
+			return s[k]
+		}
+		q := (hi - lo) / 4
+		a, b, c := s[lo+q], s[lo+2*q], s[hi-q]
+		if b < a {
+			a, b = b, a
+		}
+		if c < b {
+			b = max(a, c)
+		}
+		// Partition around pivot b: [lo, lt) < b, [lt, gt] equal to b,
+		// (gt, hi] > b.
+		lt, gt := lo, hi
+		for i := lo; i <= gt; {
+			switch v := s[i]; {
+			case v < b:
+				s[lt], s[i] = v, s[lt]
+				lt++
+				i++
+			case b < v:
+				s[gt], s[i] = v, s[gt]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return s[k]
+		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		for j := i; j > lo && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+	return s[k]
 }
 
 // Skewness returns the sample skewness (third standardized moment) of xs.
