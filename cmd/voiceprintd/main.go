@@ -1,10 +1,10 @@
 // Command voiceprintd is the streaming Voiceprint daemon: the online
 // counterpart of the offline cmd/voiceprint CLI. It ingests RSSI
 // observation streams over a line-delimited NDJSON protocol (TCP or a
-// Unix socket), shards them into per-receiver detectors, runs detection
-// rounds on a worker pool once per period, and publishes Sybil verdicts
-// as an NDJSON event stream to every connected client. An HTTP admin
-// surface exposes /healthz and /metrics.
+// Unix socket), shards them into per-receiver detectors, runs one
+// detection sweep over every receiver once per period, and publishes
+// Sybil verdicts as an NDJSON event stream to every connected client.
+// An HTTP admin surface exposes /healthz and /metrics.
 //
 //	voiceprintd -listen 127.0.0.1:8474 -admin 127.0.0.1:8475 \
 //	            [-k K -b B] [-observation 20s -period 20s] [-fusion]
@@ -17,8 +17,8 @@
 // -fusion enables the multi-signal detector: observations may carry a
 // schema-1 "pos" field with the sender's claimed coordinates, graded by
 // the claimed-position consistency signal inside every monitor and by
-// the cross-receiver co-observation clique coordinator on synchronized
-// detection rounds. Verdict events then carry per-signal attribution in
+// the cross-receiver co-observation clique coordinator on every period's
+// detection sweep. Verdict events then carry per-signal attribution in
 // a "signals" field.
 //
 // One observation per line, one verdict event per round per receiver:
@@ -84,7 +84,7 @@ func configFromFlags(fs *flag.FlagSet, args []string) (daemonConfig, error) {
 	evictAfter := fs.Duration("evict-after", mon.EvictAfter, "drop identities silent this long (0 = 2x -observation)")
 	tolerance := fs.Duration("reorder-tolerance", mon.ReorderTolerance, "accept observations up to this far out of order (negative = strict ordering)")
 	workers := fs.Int("workers", 0, "detection round worker pool size (0 = GOMAXPROCS)")
-	fusionOn := fs.Bool("fusion", false, "enable the multi-signal fusion detector: claimed-position consistency per monitor plus cross-receiver co-observation cliques on synchronized rounds")
+	fusionOn := fs.Bool("fusion", false, "enable the multi-signal fusion detector: claimed-position consistency per monitor plus cross-receiver co-observation cliques on every period's sweep")
 	ingestBuffer := fs.Int("ingest-buffer", 0, "per-connection bound on lines decoded but not yet applied (0 = default 4096)")
 	eventBuffer := fs.Int("event-buffer", 0, "per-connection outbound verdict buffer (0 = default 256)")
 	maxLineBytes := fs.Int("max-line-bytes", 0, "max inbound NDJSON line length (0 = default 64KiB)")

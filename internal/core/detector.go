@@ -79,7 +79,7 @@ type Config struct {
 	// measurement noise, so their per-sample DTW distance is bounded by a
 	// multiple of the summed noise variances; each series' noise level is
 	// separated from the correlated fading by the AR(1) moment estimator
-	// (stats.EstimateAR1Noise) on its Z-scored values. Unlike a fixed cap
+	// (stats.AR1NoiseEstimator) on its Z-scored values. Unlike a fixed cap
 	// this transfers across channels — the noise scale is re-estimated
 	// from each round's own series. Zero means 1.5; negative disables.
 	AdaptiveCapKappa float64

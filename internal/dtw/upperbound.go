@@ -18,8 +18,8 @@ package dtw
 // accumulated in the same order. That argument needs both sides to
 // round alike, so like the banded kernel every squared term is written
 // float64(d*d), which no architecture may fuse into the add that
-// follows it. For equal lengths it degenerates to the no-warp diagonal
-// (EuclideanSquared).
+// follows it. For equal lengths it degenerates to the no-warp diagonal,
+// the pointwise squared-error sum.
 func BandPathUpperBound(x, y []float64, radius int) (float64, error) {
 	n, m := len(x), len(y)
 	if n == 0 || m == 0 {

@@ -38,7 +38,7 @@ func TestBandPathUpperBoundAdmissible(t *testing.T) {
 }
 
 // TestBandPathUpperBoundEqualLengths: for equal lengths the staircase
-// degenerates to the no-warp diagonal, i.e. EuclideanSquared.
+// degenerates to the no-warp diagonal, i.e. squaredError.
 func TestBandPathUpperBoundEqualLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 50; trial++ {
@@ -53,11 +53,7 @@ func TestBandPathUpperBoundEqualLengths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eu, err := EuclideanSquared(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ub != eu {
+		if eu := squaredError(x, y); ub != eu {
 			t.Fatalf("trial %d: staircase %v != euclidean %v at equal lengths", trial, ub, eu)
 		}
 	}

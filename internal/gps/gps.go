@@ -89,10 +89,3 @@ func (r *Receiver) Fix(t time.Duration, trueX, trueY float64) (x, y float64) {
 	return trueX + r.biasX + p.JitterStdM*r.rng.NormFloat64(),
 		trueY + r.biasY + p.JitterStdM*r.rng.NormFloat64()
 }
-
-// HorizontalRMS returns the model's steady-state horizontal RMS error.
-func (p Params) HorizontalRMS() float64 {
-	d := p.withDefaults()
-	perAxis := d.BiasStdM*d.BiasStdM + d.JitterStdM*d.JitterStdM
-	return math.Sqrt(2 * perAxis)
-}

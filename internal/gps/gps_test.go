@@ -21,8 +21,15 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// horizontalRMS is the model's steady-state horizontal RMS error.
+func horizontalRMS(p Params) float64 {
+	d := p.withDefaults()
+	perAxis := d.BiasStdM*d.BiasStdM + d.JitterStdM*d.JitterStdM
+	return math.Sqrt(2 * perAxis)
+}
+
 func TestHorizontalRMSMatchesTableII(t *testing.T) {
-	rms := Params{}.HorizontalRMS()
+	rms := horizontalRMS(Params{})
 	// Table II: horizontal position accuracy < 2.5 m autonomous.
 	if rms < 1.5 || rms > 2.5 {
 		t.Errorf("default horizontal RMS %v outside the Table II band", rms)
@@ -43,7 +50,7 @@ func TestFixErrorStatistics(t *testing.T) {
 		sumSq += dx*dx + dy*dy
 	}
 	rms := math.Sqrt(sumSq / n)
-	want := Params{}.HorizontalRMS()
+	want := horizontalRMS(Params{})
 	if math.Abs(rms-want) > 0.5 {
 		t.Errorf("empirical RMS %v, want ~%v", rms, want)
 	}

@@ -117,29 +117,3 @@ func (a *Aggregator) MeanFPR() (float64, error) {
 	}
 	return a.fprSum / float64(a.fprCount), nil
 }
-
-// Instances returns how many instances contributed a DR term.
-func (a *Aggregator) Instances() int { return a.drCount }
-
-// Extended classification quality, beyond the paper's two metrics, for the
-// ablation experiments.
-
-// Precision is TP / (TP + FP); ok=false when nothing was flagged.
-func (c Counts) Precision() (float64, bool) {
-	flagged := c.TruePositives + c.FalsePositives
-	if flagged == 0 {
-		return 0, false
-	}
-	return float64(c.TruePositives) / float64(flagged), true
-}
-
-// F1 is the harmonic mean of precision and recall (DR); ok=false when
-// undefined.
-func (c Counts) F1() (float64, bool) {
-	p, okP := c.Precision()
-	r, okR := c.DR()
-	if !okP || !okR || p+r == 0 {
-		return 0, false
-	}
-	return 2 * p * r / (p + r), true
-}

@@ -98,27 +98,4 @@ func TestAggregator(t *testing.T) {
 	if math.Abs(fpr-0.1/3) > 1e-12 {
 		t.Errorf("MeanFPR = %v, want %v", fpr, 0.1/3)
 	}
-	if a.Instances() != 2 {
-		t.Errorf("Instances = %d, want 2", a.Instances())
-	}
-}
-
-func TestPrecisionAndF1(t *testing.T) {
-	c := Counts{TruePositives: 3, FalsePositives: 1, Illegitimate: 4, Normal: 8}
-	p, ok := c.Precision()
-	if !ok || p != 0.75 {
-		t.Errorf("Precision = %v/%v, want 0.75", p, ok)
-	}
-	f1, ok := c.F1()
-	want := 2 * 0.75 * 0.75 / 1.5
-	if !ok || math.Abs(f1-want) > 1e-12 {
-		t.Errorf("F1 = %v/%v, want %v", f1, ok, want)
-	}
-	empty := Counts{Illegitimate: 2, Normal: 2}
-	if _, ok := empty.Precision(); ok {
-		t.Error("Precision undefined with nothing flagged")
-	}
-	if _, ok := empty.F1(); ok {
-		t.Error("F1 undefined with nothing flagged")
-	}
 }

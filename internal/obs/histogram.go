@@ -94,14 +94,6 @@ func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
 	}
 }
 
-// Mean returns the mean observed value in nanoseconds (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) in nanoseconds by
 // linear interpolation within the covering bucket. Estimates carry the
 // bucket layout's resolution (a factor-of-two band); values landing in

@@ -49,5 +49,4 @@ func TestJournalInstallRace(t *testing.T) {
 	reg.SetJournal(l)
 	sched.SetJournal(l)
 	wg.Wait()
-	sched.Drain()
 }

@@ -59,8 +59,9 @@ type Metrics struct {
 	// recovered into an errored outcome (a detector bug must not take
 	// the daemon down with it).
 	RoundPanics obs.Counter
-	// RoundsCoalesced counts scheduled rounds skipped because the same
-	// receiver's previous round was still in flight.
+	// RoundsCoalesced counts scheduled rounds skipped because the
+	// previous ticked sweep was still in flight: one per receiver per
+	// skipped tick.
 	RoundsCoalesced obs.Counter
 	// SuspectsFlagged counts identity flags summed over rounds.
 	SuspectsFlagged obs.Counter

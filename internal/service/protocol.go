@@ -11,12 +11,13 @@
 //     and verdict events out (this file),
 //   - registry: a concurrency-safe shard of per-receiver core.Monitor
 //     instances,
-//   - scheduler: a bounded worker pool running detection rounds (the
-//     O(n²) pairwise DTW phase additionally parallelizes inside
-//     core via Config.Workers),
+//   - scheduler: a bounded worker pool running one sweep's detection
+//     rounds, one per receiver (the O(n²) pairwise DTW phase
+//     additionally parallelizes inside core via Config.Workers),
 //   - server: TCP/Unix listeners with bounded per-connection ingest
 //     buffers (explicit drop accounting instead of unbounded memory),
-//     an event broadcast fan-out, and an HTTP admin surface.
+//     the period ticker that runs one DetectNow sweep per period, an
+//     event broadcast fan-out, and an HTTP admin surface.
 //
 // Replay feeds a recorded trace CSV through the same ingest path as fast
 // as the detector keeps up, so the daemon's pipeline is testable against

@@ -31,37 +31,29 @@ type RoundOutcome struct {
 
 // Scheduler runs detection rounds over the registry's receivers on a
 // bounded worker pool: rounds for different receivers run in parallel
-// (each additionally parallelizing its pairwise DTW phase via
-// core's Config.Workers), while rounds for one receiver never overlap —
-// a tick that lands while the previous round is still running is
-// coalesced, not queued, so a slow receiver cannot build an unbounded
-// round backlog.
+// (each additionally parallelizing its pairwise DTW phase via core's
+// Config.Workers). It keeps no schedule of its own: the server fires
+// every live sweep through Server.DetectNow, which never overlaps two
+// sweeps, and Replay and WAL recovery call DetectOne in stream order.
 type Scheduler struct {
 	reg     *Registry
 	metrics *Metrics
-	// sink, when non-nil, receives every outcome of asynchronous
-	// (Dispatch) rounds; it may be called from multiple workers at once.
-	sink func(RoundOutcome)
-
-	sem chan struct{}
-	wg  sync.WaitGroup
+	sem     chan struct{}
 
 	// journal, when non-nil, records every completed round boundary so
 	// recovery can re-run the same rounds and rebuild the confirmation
 	// history. Installed once at boot, after recovery replay; rounds may
-	// already be dispatching by then, so the pointer is atomic (see
+	// already be running by then, so the pointer is atomic (see
 	// Registry.journal).
 	journal atomic.Pointer[wal.Log]
 	// lastRound is the wall-clock UnixNano of the most recently completed
 	// round (0 until the first); /healthz gates on its age.
 	lastRound atomic.Int64
-
-	mu       sync.Mutex
-	inflight map[vanet.NodeID]bool // voiceprintvet:guardedby mu
 }
 
 // NewScheduler builds a scheduler with the given pool size (0 means
-// GOMAXPROCS).
+// GOMAXPROCS). sink is ignored; it is kept only because the benchmark
+// module (perfbench) still passes it.
 func NewScheduler(reg *Registry, metrics *Metrics, workers int, sink func(RoundOutcome)) (*Scheduler, error) {
 	if reg == nil || metrics == nil {
 		return nil, errors.New("service: scheduler needs a registry and metrics")
@@ -72,21 +64,14 @@ func NewScheduler(reg *Registry, metrics *Metrics, workers int, sink func(RoundO
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Scheduler{
-		reg:      reg,
-		metrics:  metrics,
-		sink:     sink,
-		sem:      make(chan struct{}, workers),
-		inflight: make(map[vanet.NodeID]bool),
-	}, nil
+	return &Scheduler{reg: reg, metrics: metrics, sem: make(chan struct{}, workers)}, nil
 }
 
 // DetectAll runs one round for every materialized receiver and waits for
 // all of them, returning outcomes in ascending receiver order. at is the
 // window end in stream time; at < 0 ends each receiver's window at its
-// own newest observation (live mode), a fixed at pins every receiver to
-// the same boundary (replay mode, exact offline parity). DetectAll does
-// not feed the sink — the caller owns the returned outcomes.
+// own newest observation (live mode, what Server.DetectNow runs); a
+// fixed at pins every receiver to the same stream-time boundary.
 func (s *Scheduler) DetectAll(at time.Duration) []RoundOutcome {
 	recvs := s.reg.Receivers()
 	outcomes := make([]RoundOutcome, len(recvs))
@@ -111,54 +96,8 @@ func (s *Scheduler) DetectOne(recv vanet.NodeID, at time.Duration) RoundOutcome 
 	return s.round(recv, at)
 }
 
-// Tick asynchronously schedules one live round (window ending at the
-// newest observation) for every materialized receiver, skipping
-// receivers whose previous round is still in flight. Outcomes go to the
-// sink. It returns the number of rounds actually scheduled.
-func (s *Scheduler) Tick() int {
-	scheduled := 0
-	for _, recv := range s.reg.Receivers() {
-		if s.dispatch(recv) {
-			scheduled++
-		}
-	}
-	return scheduled
-}
-
-// dispatch schedules one asynchronous live round for recv unless one is
-// already in flight.
-func (s *Scheduler) dispatch(recv vanet.NodeID) bool {
-	s.mu.Lock()
-	if s.inflight[recv] {
-		s.mu.Unlock()
-		s.metrics.RoundsCoalesced.Add(1)
-		return false
-	}
-	s.inflight[recv] = true
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.sem <- struct{}{}
-		out := s.round(recv, -1)
-		<-s.sem
-		s.mu.Lock()
-		delete(s.inflight, recv)
-		s.mu.Unlock()
-		if s.sink != nil {
-			s.sink(out)
-		}
-	}()
-	return true
-}
-
-// Drain blocks until every asynchronously dispatched round has finished;
-// graceful shutdown calls it after the ingest listeners close.
-func (s *Scheduler) Drain() { s.wg.Wait() }
-
 // SetJournal installs the write-ahead log for round boundaries. Call it
-// once at boot, after recovery replay and before the first tick.
+// once at boot, after recovery replay and before the first sweep.
 func (s *Scheduler) SetJournal(l *wal.Log) { s.journal.Store(l) }
 
 // LastRound returns when the most recent round completed (the zero time
@@ -173,8 +112,8 @@ func (s *Scheduler) LastRound() time.Time {
 
 // round runs one detection round and updates the metrics. A panic in
 // the detector is recovered into an errored outcome: one receiver's bad
-// round must not take down the scheduler worker (and with it the
-// daemon's round cadence for every other receiver).
+// round must not take down the daemon (and with it the sweep's rounds
+// for every other receiver).
 func (s *Scheduler) round(recv vanet.NodeID, at time.Duration) (out RoundOutcome) {
 	// Liveness stamp; registered first so it runs last, after the round's
 	// outcome (including a recovered panic) is settled.

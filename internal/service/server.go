@@ -26,9 +26,11 @@ type Config struct {
 	Listener net.Listener
 	// Registry is the per-receiver monitor shard configuration.
 	Registry RegistryConfig
-	// Period is the live detection period: how often the scheduler runs
-	// a round over every receiver. Zero means the monitor's observation
-	// window (the paper runs detection once per observation window).
+	// Period is the live detection period: how often the server runs a
+	// DetectNow sweep over every receiver. A tick that lands while the
+	// previous ticked sweep still runs is skipped. Zero means the
+	// monitor's observation window (the paper runs detection once per
+	// observation window).
 	Period time.Duration
 	// Workers bounds the scheduler's round pool; zero means GOMAXPROCS.
 	Workers int
@@ -73,13 +75,11 @@ type Config struct {
 	// on the next NewServer before ingest starts. Nil keeps today's
 	// purely in-memory behavior at zero cost.
 	WAL *WALConfig
-	// Coordinator, when non-nil, post-processes every synchronized
-	// detection sweep (DetectNow / replay boundaries) across receivers —
+	// Coordinator, when non-nil, post-processes every detection sweep
+	// (DetectNow, which the period ticker also runs) across receivers —
 	// the hook the fusion clique signal uses to correlate verdicts
-	// cross-receiver. The asynchronous Tick path is deliberately
-	// uncoordinated: its per-receiver rounds complete at different times,
-	// so a cross-receiver pass there would race the very sweep it
-	// correlates; Tick rounds carry per-receiver fusion verdicts only.
+	// cross-receiver. Replay and WAL recovery run per-receiver rounds and
+	// are not coordinated.
 	Coordinator RoundCoordinator
 }
 
@@ -167,6 +167,11 @@ type Server struct {
 	wal      *wal.Log
 	started  time.Time
 	snapBusy atomic.Bool
+	// tickBusy is set while a ticked sweep runs; sweepMu serializes
+	// sweeps, ticked or not, so one receiver's rounds never overlap and
+	// the journal records them in the order they ran.
+	tickBusy atomic.Bool
+	sweepMu  sync.Mutex
 	bgWG     sync.WaitGroup
 
 	ln net.Listener
@@ -207,7 +212,7 @@ func NewServer(cfg Config) (*Server, error) {
 		started: time.Now(),
 		conns:   make(map[*serverConn]struct{}),
 	}
-	sched, err := NewScheduler(reg, metrics, cfg.Workers, s.broadcast)
+	sched, err := NewScheduler(reg, metrics, cfg.Workers, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -385,10 +390,10 @@ func (s *Server) Health() Health {
 	return h
 }
 
-// Serve accepts connections and runs the detection schedule until ctx is
-// cancelled, then shuts down gracefully: stop accepting, close client
-// connections, and drain in-flight detection rounds. It always returns
-// a nil error after a clean context shutdown.
+// Serve accepts connections and runs a DetectNow sweep every period
+// until ctx is cancelled, then shuts down gracefully: stop accepting,
+// close client connections, and wait out an in-flight sweep. It always
+// returns a nil error after a clean context shutdown.
 func (s *Server) Serve(ctx context.Context) error {
 	acceptDone := make(chan struct{})
 	go func() {
@@ -421,7 +426,19 @@ func (s *Server) Serve(ctx context.Context) error {
 	for {
 		select {
 		case <-ticker.C:
-			s.sched.Tick()
+			// Off the schedule loop, one ticked sweep at a time: a tick
+			// that lands on a running sweep is skipped, not queued, and
+			// counts one coalesced round per receiver.
+			if !s.tickBusy.CompareAndSwap(false, true) {
+				s.metrics.RoundsCoalesced.Add(uint64(len(s.reg.Receivers())))
+				continue
+			}
+			s.bgWG.Add(1)
+			go func() {
+				defer s.bgWG.Done()
+				defer s.tickBusy.Store(false)
+				s.DetectNow()
+			}()
 		case <-snapC:
 			// Off the schedule loop: a snapshot deep-copies the fleet and
 			// fsyncs, which must not delay detection ticks.
@@ -435,7 +452,6 @@ func (s *Server) Serve(ctx context.Context) error {
 			<-acceptDone
 			s.connWG.Wait()
 			force.Stop()
-			s.sched.Drain()
 			s.bgWG.Wait()
 			if s.wal != nil {
 				// SIGTERM flush: compact once more so the next boot restores
@@ -471,8 +487,11 @@ func (s *Server) snapshotBackground() {
 // DetectNow synchronously runs one round for every receiver (window
 // ending at each receiver's newest observation), runs the cross-receiver
 // coordinator (when configured), broadcasts the verdict events, and
-// returns the outcomes in ascending receiver order.
+// returns the outcomes in ascending receiver order. Sweeps never
+// overlap: a call waits for the running one, ticked or not.
 func (s *Server) DetectNow() []RoundOutcome {
+	s.sweepMu.Lock()
+	defer s.sweepMu.Unlock()
 	outs := s.sched.DetectAll(-1)
 	if s.cfg.Coordinator != nil {
 		outs = s.cfg.Coordinator.Coordinate(outs)

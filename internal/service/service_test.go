@@ -625,24 +625,19 @@ func TestServerUnixSocket(t *testing.T) {
 }
 
 // TestConcurrentIngestAndRounds drives Registry.Observe from multiple
-// ingest goroutines while the scheduler ticks asynchronous rounds and
-// fires synchronous DetectAll sweeps, both live and at a fixed boundary
-// (Monitor.DetectAt) — the daemon's steady state.
-// Run under -race this pins the monitor's reused round scratch (views,
-// input map, pair buffer) as properly serialized.
+// ingest goroutines while two goroutines fire synchronous DetectAll
+// sweeps, so rounds for one receiver overlap each other and ingest:
+// a live sweeper, and the main loop's live and fixed-boundary
+// (Monitor.DetectAt) sweeps. Run under -race this pins the monitor's
+// reused round scratch (views, input map, pair buffer) as properly
+// serialized.
 func TestConcurrentIngestAndRounds(t *testing.T) {
 	metrics := &Metrics{}
 	reg, err := NewRegistry(RegistryConfig{Monitor: testMonitorConfig()}, metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var outcomes sync.Map
-	sched, err := NewScheduler(reg, metrics, 4, func(out RoundOutcome) {
-		if out.Err != nil {
-			t.Error(out.Err)
-		}
-		outcomes.Store(out.Recv, out)
-	})
+	sched, err := NewScheduler(reg, metrics, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,11 +646,15 @@ func TestConcurrentIngestAndRounds(t *testing.T) {
 	for _, rec := range records {
 		perRecv[rec.Receiver] = append(perRecv[rec.Receiver], rec)
 	}
+	// Every goroutine starts at once, so the first fixed-boundary sweep
+	// lands mid-ingest.
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, recs := range perRecv {
 		wg.Add(1)
 		go func(recs []trace.Record) {
 			defer wg.Done()
+			<-start
 			for _, rec := range recs {
 				err := reg.Observe(Observation{
 					Recv:   rec.Receiver,
@@ -672,13 +671,30 @@ func TestConcurrentIngestAndRounds(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
+	sweeperDone := make(chan struct{})
+	go func() {
+		defer close(sweeperDone)
+		<-start
+		for {
+			for _, out := range sched.DetectAll(-1) {
+				if out.Err != nil {
+					t.Errorf("receiver %d: concurrent round error %v", out.Recv, out.Err)
+				}
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	close(start)
 	for {
-		sched.Tick()
-		_ = sched.DetectAll(-1)
 		_ = sched.DetectAll(10 * time.Second)
+		_ = sched.DetectAll(-1)
 		select {
 		case <-done:
-			sched.Drain()
+			<-sweeperDone
 			// Ingest has stopped: a full sweep reports the window end it
 			// evaluated.
 			for _, out := range sched.DetectAll(-1) {
@@ -689,19 +705,10 @@ func TestConcurrentIngestAndRounds(t *testing.T) {
 					t.Errorf("receiver %d: outcome At %v != WindowEnd %v", out.Recv, out.At, out.Result.WindowEnd)
 				}
 			}
-			// Every returned round, async or swept, lands in the latency
-			// histogram exactly once.
+			// Every returned round, from either sweeper, lands in the
+			// latency histogram exactly once.
 			if got, want := metrics.RoundLatency.Snapshot().Count, metrics.RoundsRun.Load(); got != want {
 				t.Errorf("round latency histogram saw %d rounds, rounds_run_total is %d", got, want)
-			}
-			for _, recv := range []vanet.NodeID{501, 502, 503} {
-				out, ok := outcomes.Load(recv)
-				if !ok {
-					continue // Tick may never have caught this receiver idle
-				}
-				if out.(RoundOutcome).Err != nil {
-					t.Errorf("receiver %d: async round error %v", recv, out.(RoundOutcome).Err)
-				}
 			}
 			return
 		case <-time.After(time.Millisecond):

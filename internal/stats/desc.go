@@ -302,26 +302,20 @@ func Summarize(xs []float64) (Summary, error) {
 	}, nil
 }
 
+// AR1NoiseEstimator computes Estimate and RobustDiffStd on a reusable
+// scratch buffer, so per-identity noise separation inside a detection
+// round allocates nothing after warm-up. The zero value is ready to use;
+// an estimator is not safe for concurrent use.
+type AR1NoiseEstimator struct {
+	diffs []float64
+}
+
 // RobustDiffStd estimates the standard deviation of the i.i.d.
 // high-frequency noise riding on a slowly varying series, from the median
 // absolute first difference: for x_t = s_t + n_t with s nearly constant
 // across adjacent samples, x_t - x_{t-1} ~ N(0, 2*sigma_n^2), and
 // MAD/0.6745 estimates its standard deviation robustly (immune to the
 // occasional genuine jump). Series shorter than 3 samples return 0.
-func RobustDiffStd(xs []float64) float64 {
-	var e AR1NoiseEstimator
-	return e.RobustDiffStd(xs)
-}
-
-// AR1NoiseEstimator computes EstimateAR1Noise and RobustDiffStd on a
-// reusable scratch buffer, so per-identity noise separation inside a
-// detection round allocates nothing after warm-up. The zero value is
-// ready to use; an estimator is not safe for concurrent use.
-type AR1NoiseEstimator struct {
-	diffs []float64
-}
-
-// RobustDiffStd is the package-level RobustDiffStd on reused scratch.
 func (e *AR1NoiseEstimator) RobustDiffStd(xs []float64) float64 {
 	if len(xs) < 3 {
 		return 0
@@ -356,7 +350,7 @@ func (e *AR1NoiseEstimator) lagVar(xs []float64, lag int) float64 {
 	return sd * sd
 }
 
-// EstimateAR1Noise separates i.i.d. measurement noise from a correlated
+// Estimate separates i.i.d. measurement noise from a correlated
 // AR(1) component in a series x_t = s_t + n_t, s_t = rho*s_{t-1} + w_t,
 // using the method of moments on lagged first differences:
 //
@@ -368,12 +362,6 @@ func (e *AR1NoiseEstimator) lagVar(xs []float64, lag int) float64 {
 // the identities do NOT share, and a naive first-difference estimator
 // conflates fast-decorrelating shadowing with that noise. Returns ok=false
 // for series shorter than 8 samples.
-func EstimateAR1Noise(xs []float64) (sigmaN float64, ok bool) {
-	var e AR1NoiseEstimator
-	return e.Estimate(xs)
-}
-
-// Estimate is EstimateAR1Noise on the estimator's reused scratch.
 func (e *AR1NoiseEstimator) Estimate(xs []float64) (sigmaN float64, ok bool) {
 	if len(xs) < 8 {
 		return 0, false

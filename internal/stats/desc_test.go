@@ -194,10 +194,10 @@ func TestRobustDiffStd(t *testing.T) {
 	for i := range xs {
 		xs[i] = 0.01*float64(i) + 0.5*rng.NormFloat64()
 	}
-	if got := RobustDiffStd(xs); !almostEqual(got, 0.5, 0.05) {
+	if got := new(AR1NoiseEstimator).RobustDiffStd(xs); !almostEqual(got, 0.5, 0.05) {
 		t.Errorf("RobustDiffStd = %v, want ~0.5", got)
 	}
-	if RobustDiffStd([]float64{1, 2}) != 0 {
+	if new(AR1NoiseEstimator).RobustDiffStd([]float64{1, 2}) != 0 {
 		t.Error("short series should return 0")
 	}
 }
@@ -232,7 +232,7 @@ func TestEstimateAR1Noise(t *testing.T) {
 			var sum float64
 			const reps = 30
 			for r := 0; r < reps; r++ {
-				got, ok := EstimateAR1Noise(gen(200, tt.rho, tt.sigmaS, tt.sigmaN))
+				got, ok := new(AR1NoiseEstimator).Estimate(gen(200, tt.rho, tt.sigmaS, tt.sigmaN))
 				if !ok {
 					t.Fatal("estimator failed")
 				}
@@ -243,7 +243,7 @@ func TestEstimateAR1Noise(t *testing.T) {
 			}
 		})
 	}
-	if _, ok := EstimateAR1Noise([]float64{1, 2, 3}); ok {
+	if _, ok := new(AR1NoiseEstimator).Estimate([]float64{1, 2, 3}); ok {
 		t.Error("short series should fail")
 	}
 }

@@ -25,7 +25,7 @@ func TestDegenerateSamplesYieldFiniteValues(t *testing.T) {
 			"StdDev":         StdDev,
 			"Skewness":       Skewness,
 			"Kurtosis":       Kurtosis,
-			"RobustDiffStd":  RobustDiffStd,
+			"RobustDiffStd":  new(AR1NoiseEstimator).RobustDiffStd,
 		} {
 			if got := f(xs); math.IsNaN(got) || math.IsInf(got, 0) {
 				t.Errorf("%s(%s) = %v, want finite", fname, name, got)
@@ -34,7 +34,7 @@ func TestDegenerateSamplesYieldFiniteValues(t *testing.T) {
 	}
 	// Zero-variance and too-short inputs specifically must be exactly 0,
 	// not merely finite.
-	for _, f := range []func([]float64) float64{Variance, StdDev, Skewness, Kurtosis, RobustDiffStd} {
+	for _, f := range []func([]float64) float64{Variance, StdDev, Skewness, Kurtosis, new(AR1NoiseEstimator).RobustDiffStd} {
 		if got := f(samples["zero-variance"]); got != 0 {
 			t.Errorf("zero-variance statistic = %v, want 0", got)
 		}
@@ -71,15 +71,15 @@ func TestSummarizeEmpty(t *testing.T) {
 }
 
 func TestEstimateAR1NoiseDegenerate(t *testing.T) {
-	if _, ok := EstimateAR1Noise([]float64{1, 2, 3, 4, 5, 6, 7}); ok {
+	if _, ok := new(AR1NoiseEstimator).Estimate([]float64{1, 2, 3, 4, 5, 6, 7}); ok {
 		t.Error("7 samples must report ok=false")
 	}
 	constant := make([]float64, 32)
 	for i := range constant {
 		constant[i] = -70
 	}
-	sigma, ok := EstimateAR1Noise(constant)
+	sigma, ok := new(AR1NoiseEstimator).Estimate(constant)
 	if !ok || sigma != 0 || math.IsNaN(sigma) {
-		t.Errorf("EstimateAR1Noise(constant) = %v, %v; want 0, true", sigma, ok)
+		t.Errorf("Estimate(constant) = %v, %v; want 0, true", sigma, ok)
 	}
 }

@@ -63,14 +63,6 @@ func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*h.Width
 }
 
-// Fraction returns the fraction of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.Total)
-}
-
 // Render draws the histogram as fixed-width text with at most barWidth
 // characters per bar, one bin per line. It is used by the experiment
 // harness to show Figure 5-style distributions in a terminal.

@@ -70,16 +70,3 @@ func OLS(xs, ys []float64) (LinearFit, error) {
 func (f LinearFit) Predict(x float64) float64 {
 	return f.Slope*x + f.Intercept
 }
-
-// Residuals returns ys[i] - Predict(xs[i]) for each point. The slices must
-// have equal length.
-func (f LinearFit) Residuals(xs, ys []float64) ([]float64, error) {
-	if len(xs) != len(ys) {
-		return nil, errors.New("stats: residuals length mismatch")
-	}
-	out := make([]float64, len(xs))
-	for i := range xs {
-		out[i] = ys[i] - f.Predict(xs[i])
-	}
-	return out, nil
-}

@@ -59,20 +59,6 @@ func TestOLSErrors(t *testing.T) {
 	}
 }
 
-func TestResiduals(t *testing.T) {
-	fit := LinearFit{Slope: 2, Intercept: 1}
-	res, err := fit.Residuals([]float64{0, 1}, []float64{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0] != 0 || res[1] != 1 {
-		t.Errorf("residuals = %v, want [0 1]", res)
-	}
-	if _, err := fit.Residuals([]float64{0}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	h, err := NewHistogram(xs, 5)
@@ -86,13 +72,6 @@ func TestHistogram(t *testing.T) {
 	}
 	if h.Total != 10 {
 		t.Errorf("total = %d, want 10", h.Total)
-	}
-	sum := 0.0
-	for i := range h.Counts {
-		sum += h.Fraction(i)
-	}
-	if !almostEqual(sum, 1, 1e-12) {
-		t.Errorf("fractions sum to %v", sum)
 	}
 }
 
@@ -120,13 +99,6 @@ func TestHistogramRender(t *testing.T) {
 	out := h.Render(10)
 	if out == "" {
 		t.Error("render produced no output")
-	}
-}
-
-func TestHistogramFractionEmpty(t *testing.T) {
-	h := &Histogram{Counts: []int{0, 0}, Total: 0}
-	if h.Fraction(0) != 0 {
-		t.Error("empty histogram fraction should be 0")
 	}
 	if (&Histogram{Counts: []int{1}, Total: 1}).Render(0) == "" {
 		t.Error("render with non-positive width should default")

@@ -5,7 +5,7 @@
 // a daemon that only ever saw clean in-process pipes has not earned its
 // robustness claims. The kit provides:
 //
-//   - a chaos net.Conn / net.Listener wrapper (this file) injecting
+//   - a chaos net.Conn wrapper (this file) injecting
 //     configurable latency, partial writes, mid-frame connection
 //     resets, byte corruption, and line splitting/coalescing, and
 //   - a scenario driver (scenario.go) that replays recorded traces
@@ -24,7 +24,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -213,28 +212,4 @@ func corrupt(data []byte, rng *rand.Rand) []byte {
 		}
 	}
 	return data
-}
-
-// Listener wraps a net.Listener so every accepted connection gets its
-// own deterministic chaos stream. The server side of a link can be made
-// chaotic this way without touching the server's code.
-type Listener struct {
-	net.Listener
-	cfg  Config
-	next atomic.Int64
-}
-
-// WrapListener wraps ln with per-connection chaos.
-func WrapListener(ln net.Listener, cfg Config) *Listener {
-	return &Listener{Listener: ln, cfg: cfg}
-}
-
-// Accept accepts from the underlying listener and wraps the connection
-// with the next chaos stream.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return WrapConn(c, l.cfg, l.next.Add(1)), nil
 }

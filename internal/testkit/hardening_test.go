@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,13 +20,32 @@ import (
 // window condition — into a deterministic trigger for the eviction and
 // drain paths.
 
+// chaosListener wraps a net.Listener so every accepted connection gets
+// its own deterministic chaos stream: the server side of a link made
+// chaotic without touching the server's code.
+type chaosListener struct {
+	net.Listener
+	cfg  Config
+	next atomic.Int64
+}
+
+// Accept accepts from the underlying listener and wraps the connection
+// with the next chaos stream.
+func (l *chaosListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return WrapConn(c, l.cfg, l.next.Add(1)), nil
+}
+
 func startHardenedServer(t *testing.T, cfg service.Config, chaos Config) (*service.Server, string, func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Listener = WrapListener(ln, chaos)
+	cfg.Listener = &chaosListener{Listener: ln, cfg: chaos}
 	if cfg.Period == 0 {
 		cfg.Period = 24 * time.Hour
 	}

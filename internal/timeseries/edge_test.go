@@ -17,7 +17,7 @@ func TestEmptyWindowBehavior(t *testing.T) {
 		"inverted bounds": full.Window(2*time.Second, time.Second),
 		"empty range":     full.Window(time.Second, time.Second),
 		"past the end":    full.Window(time.Minute, 2*time.Minute),
-		"view inverted":   full.WindowView(2*time.Second, time.Second),
+		"view inverted":   full.WindowViewInto(2*time.Second, time.Second, &Series{}),
 		"of empty series": New(0).Window(0, time.Minute),
 	} {
 		if got := w.Len(); got != 0 {
@@ -29,9 +29,6 @@ func TestEmptyWindowBehavior(t *testing.T) {
 		if got := w.StdDev(); got != 0 || math.IsNaN(got) {
 			t.Errorf("%s: StdDev = %v, want 0", name, got)
 		}
-		if got := w.Duration(); got != 0 {
-			t.Errorf("%s: Duration = %v, want 0", name, got)
-		}
 		if _, err := w.ZScoreNormalize(); !errors.Is(err, ErrTooShort) {
 			t.Errorf("%s: ZScoreNormalize err = %v, want ErrTooShort", name, err)
 		}
@@ -40,9 +37,6 @@ func TestEmptyWindowBehavior(t *testing.T) {
 
 func TestSingleSampleSeries(t *testing.T) {
 	s := FromValues([]float64{-70}, time.Second)
-	if got := s.Duration(); got != 0 {
-		t.Errorf("Duration = %v, want 0", got)
-	}
 	if got := s.Mean(); got != -70 {
 		t.Errorf("Mean = %v, want -70", got)
 	}
@@ -54,15 +48,6 @@ func TestSingleSampleSeries(t *testing.T) {
 	}
 	if _, err := s.AppendZScored(nil); !errors.Is(err, ErrTooShort) {
 		t.Errorf("AppendZScored err = %v, want ErrTooShort", err)
-	}
-	re, err := s.Resample(time.Second, 3*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < re.Len(); i++ {
-		if re.At(i).RSSI != -70 {
-			t.Errorf("Resample held value drifted: %v", re.At(i))
-		}
 	}
 }
 
@@ -111,12 +96,12 @@ func TestMinMaxNormalizeRejectsNonFinite(t *testing.T) {
 		{math.Inf(1), 2},
 		{1, math.Inf(-1)},
 	} {
-		if _, err := MinMaxNormalize(bad); err == nil {
-			t.Errorf("MinMaxNormalize(%v) accepted non-finite input", bad)
+		if _, err := minMaxNormalize(bad); err == nil {
+			t.Errorf("minMaxNormalize(%v) accepted non-finite input", bad)
 		}
 	}
-	if _, err := MinMaxNormalize(nil); !errors.Is(err, ErrEmptyBatch) {
-		t.Errorf("MinMaxNormalize(empty) err = %v, want ErrEmptyBatch", err)
+	if _, err := minMaxNormalize(nil); !errors.Is(err, ErrEmptyBatch) {
+		t.Errorf("minMaxNormalize(empty) err = %v, want ErrEmptyBatch", err)
 	}
 	if _, err := MinMaxNormalizeInto(make([]float64, 2), []float64{1, 2, 3}); err == nil {
 		t.Error("MinMaxNormalizeInto accepted mismatched dst length")

@@ -29,7 +29,7 @@ type Sample struct {
 //
 // The container is ring-buffer-backed for streaming use: Append writes
 // at the tail, TrimBefore retires the head in place (amortized O(1), no
-// allocation), and WindowView hands out zero-copy sub-series. A monitor
+// allocation), and WindowViewInto hands out zero-copy sub-series. A monitor
 // tracking an identity over a long drive therefore reuses one backing
 // array round after round instead of rebuilding it.
 type Series struct {
@@ -124,26 +124,6 @@ func (s *Series) AppendValues(dst []float64) []float64 {
 	return dst
 }
 
-// Times returns a copy of the sample offsets in order.
-func (s *Series) Times() []time.Duration {
-	live := s.live()
-	out := make([]time.Duration, len(live))
-	for i, smp := range live {
-		out[i] = smp.T
-	}
-	return out
-}
-
-// Duration returns the span from first to last sample, or 0 for series with
-// fewer than two samples.
-func (s *Series) Duration() time.Duration {
-	live := s.live()
-	if len(live) < 2 {
-		return 0
-	}
-	return live[len(live)-1].T - live[0].T
-}
-
 // Mean returns the mean RSSI of the series.
 func (s *Series) Mean() float64 {
 	live := s.live()
@@ -208,18 +188,12 @@ func (s *Series) windowBounds(from, to time.Duration) (lo, hi int) {
 	return s.searchT(from), s.searchT(to)
 }
 
-// WindowView returns the sub-series of samples with T in [from, to) as a
-// zero-copy view sharing the receiver's backing array. The view is
-// read-only and valid until the receiver is next mutated (Append or
-// TrimBefore); appending to a view corrupts the parent.
-func (s *Series) WindowView(from, to time.Duration) *Series {
-	return s.WindowViewInto(from, to, &Series{})
-}
-
 // WindowViewInto repoints dst at the [from, to) window of the receiver
-// and returns dst. It allocates nothing: monitors keep one reusable view
-// header per tracked identity and rebuild it each detection round. The
-// same validity rules as WindowView apply.
+// as a zero-copy view sharing the receiver's backing array, and returns
+// dst. The view is read-only and valid until the receiver is next
+// mutated (Append or TrimBefore); appending to a view corrupts the
+// parent. It allocates nothing: monitors keep one reusable view header
+// per tracked identity and rebuild it each detection round.
 func (s *Series) WindowViewInto(from, to time.Duration, dst *Series) *Series {
 	lo, hi := s.windowBounds(from, to)
 	dst.buf = s.live()[lo:hi:hi]
@@ -291,34 +265,7 @@ func (s *Series) AppendZScored(dst []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// Resample produces an evenly spaced series at the given period over
-// [0, horizon) by nearest-neighbour lookup, holding the last seen value
-// across gaps. It is used by trace replay to regularize logs before
-// plotting; the detector itself works on raw (gappy) series.
-func (s *Series) Resample(period, horizon time.Duration) (*Series, error) {
-	if period <= 0 {
-		return nil, errors.New("timeseries: resample period must be positive")
-	}
-	live := s.live()
-	if len(live) == 0 {
-		return nil, ErrTooShort
-	}
-	n := int(horizon / period)
-	out := New(n)
-	j := 0
-	last := live[0].RSSI
-	for i := 0; i < n; i++ {
-		t := time.Duration(i) * period
-		for j < len(live) && live[j].T <= t {
-			last = live[j].RSSI
-			j++
-		}
-		out.buf = append(out.buf, Sample{T: t, RSSI: last})
-	}
-	return out, nil
-}
-
-// MinMaxNormalize maps xs into [0,1] by the paper's Equation 8:
+// MinMaxNormalizeInto maps xs into [0,1] by the paper's Equation 8:
 //
 //	x' = (x - min) / (max - min)
 //
@@ -327,13 +274,9 @@ func (s *Series) Resample(period, horizon time.Duration) (*Series, error) {
 // classifies every pair as maximally similar, which matches the situation
 // of a single repeated distance). It returns ErrEmptyBatch for an empty
 // input. NaN or Inf inputs return an error: they indicate an upstream bug.
-func MinMaxNormalize(xs []float64) ([]float64, error) {
-	return MinMaxNormalizeInto(make([]float64, len(xs)), xs)
-}
-
-// MinMaxNormalizeInto is MinMaxNormalize writing into dst, which must
-// have len(xs) elements already (it is fully overwritten). It allows the
-// detector to min-max a round's distance batch into reused scratch.
+// It writes into dst, which must have len(xs) elements already (it is
+// fully overwritten), so the detector min-maxes a round's distance batch
+// into reused scratch.
 func MinMaxNormalizeInto(dst, xs []float64) ([]float64, error) {
 	if len(xs) == 0 {
 		return nil, ErrEmptyBatch
@@ -364,5 +307,5 @@ func MinMaxNormalizeInto(dst, xs []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// ErrEmptyBatch is returned by MinMaxNormalize for an empty input.
+// ErrEmptyBatch is returned by MinMaxNormalizeInto for an empty input.
 var ErrEmptyBatch = errors.New("timeseries: empty batch")

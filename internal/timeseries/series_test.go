@@ -22,17 +22,10 @@ func TestFromValuesAndAccessors(t *testing.T) {
 	if s.At(1).RSSI != -71 || s.At(1).T != beat {
 		t.Errorf("At(1) = %+v", s.At(1))
 	}
-	if got := s.Duration(); got != 2*beat {
-		t.Errorf("Duration = %v, want %v", got, 2*beat)
-	}
 	vals := s.Values()
 	vals[0] = 0 // must not alias internal storage
 	if s.At(0).RSSI != -70 {
 		t.Error("Values() aliases internal storage")
-	}
-	times := s.Times()
-	if len(times) != 3 || times[2] != 2*beat {
-		t.Errorf("Times = %v", times)
 	}
 }
 
@@ -149,38 +142,13 @@ func TestZScoreShiftInvariance(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	s := New(3)
-	_ = s.Append(0, -70)
-	_ = s.Append(250*time.Millisecond, -75)
-	_ = s.Append(600*time.Millisecond, -80)
-	r, err := s.Resample(100*time.Millisecond, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 10 {
-		t.Fatalf("resampled len = %d, want 10", r.Len())
-	}
-	want := []float64{-70, -70, -70, -75, -75, -75, -80, -80, -80, -80}
-	for i, w := range want {
-		if r.At(i).RSSI != w {
-			t.Errorf("resampled[%d] = %v, want %v", i, r.At(i).RSSI, w)
-		}
-	}
-}
-
-func TestResampleErrors(t *testing.T) {
-	s := FromValues([]float64{1}, beat)
-	if _, err := s.Resample(0, time.Second); err == nil {
-		t.Error("zero period should error")
-	}
-	if _, err := New(0).Resample(beat, time.Second); err == nil {
-		t.Error("empty series should error")
-	}
+// minMaxNormalize runs MinMaxNormalizeInto on a fresh dst.
+func minMaxNormalize(xs []float64) ([]float64, error) {
+	return MinMaxNormalizeInto(make([]float64, len(xs)), xs)
 }
 
 func TestMinMaxNormalize(t *testing.T) {
-	out, err := MinMaxNormalize([]float64{2, 4, 6})
+	out, err := minMaxNormalize([]float64{2, 4, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +162,10 @@ func TestMinMaxNormalize(t *testing.T) {
 }
 
 func TestMinMaxNormalizeEdgeCases(t *testing.T) {
-	if _, err := MinMaxNormalize(nil); err != ErrEmptyBatch {
+	if _, err := minMaxNormalize(nil); err != ErrEmptyBatch {
 		t.Errorf("empty: err = %v, want ErrEmptyBatch", err)
 	}
-	out, err := MinMaxNormalize([]float64{5, 5, 5})
+	out, err := minMaxNormalize([]float64{5, 5, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +175,10 @@ func TestMinMaxNormalizeEdgeCases(t *testing.T) {
 			break
 		}
 	}
-	if _, err := MinMaxNormalize([]float64{1, math.NaN()}); err == nil {
+	if _, err := minMaxNormalize([]float64{1, math.NaN()}); err == nil {
 		t.Error("NaN input should error")
 	}
-	if _, err := MinMaxNormalize([]float64{1, math.Inf(1)}); err == nil {
+	if _, err := minMaxNormalize([]float64{1, math.Inf(1)}); err == nil {
 		t.Error("Inf input should error")
 	}
 }
@@ -226,7 +194,7 @@ func TestMinMaxNormalizeRangeProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		out, err := MinMaxNormalize(xs)
+		out, err := minMaxNormalize(xs)
 		if err != nil {
 			return false
 		}

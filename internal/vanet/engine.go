@@ -171,9 +171,6 @@ func NewEngine(cfg Config, nodes []*Node) (*Engine, error) {
 	return e, nil
 }
 
-// Now returns the current simulation time.
-func (e *Engine) Now() time.Duration { return e.now }
-
 // Truth derives the ground truth from the node set. For handoff
 // identities (one ID with disjoint active windows on several radios)
 // Owner records the last holder in node order; Sybil/Malicious flags
