@@ -42,14 +42,6 @@ type Fig10Result struct {
 	TrainAccuracy float64
 }
 
-// DetectorConfig returns the production detector configuration trained by
-// this Figure 10 run.
-func (r *Fig10Result) DetectorConfig() core.Config {
-	cfg := core.DefaultConfig(r.Boundary)
-	cfg.AbsoluteRawCap = r.AbsoluteCap
-	return cfg
-}
-
 // capFlagWeight is the false-flag cost used to train the absolute cap.
 const capFlagWeight = 100
 

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // referenceParseObservation is the observation decoder without its fast
@@ -18,7 +21,7 @@ func referenceParseObservation(line []byte) (Observation, error) {
 	if err := json.Unmarshal(line, &o); err != nil {
 		return Observation{}, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	if err := validateObservation(o); err != nil {
+	if err := validateObservation(&o); err != nil {
 		return Observation{}, err
 	}
 	return o, nil
@@ -110,43 +113,70 @@ func FuzzDecodeEvent(f *testing.F) {
 }
 
 // FuzzLineScanner feeds arbitrary byte streams through the
-// oversized-tolerant scanner. Contracts: no panic, no delivered line
-// exceeds the cap, the scanner always terminates, a plain byte stream
-// never surfaces a read error, and frames are conserved — every
-// newline-terminated frame (plus a non-empty unterminated tail) is
-// either delivered or counted oversized, never silently lost. This is
-// the property bufio.Scanner breaks: one ErrTooLong and every
-// subsequent frame of the stream is gone.
+// oversized-tolerant scanner, whole or in short reads (iotest's
+// OneByteReader or HalfReader, picked by the fuzz input), so frames
+// straddle buffer refills. Contracts: no panic, the scanner always
+// terminates, a plain byte stream never surfaces a read error, and
+// every frame comes out right: each newline-terminated frame, and a
+// non-empty unterminated tail, is either delivered as its exact bytes
+// minus its "\n" or "\r\n", or, when that is longer than the cap,
+// counted oversized — in order, and never silently lost. This is the
+// property bufio.Scanner breaks: one ErrTooLong and every subsequent
+// frame of the stream is gone.
 func FuzzLineScanner(f *testing.F) {
-	f.Add([]byte("{\"recv\":1}\nshort\n"), 8)
-	f.Add([]byte("{\"recv\":9,\"sender\":2,\"t_ms\":5,\"rssi\":-70,\"schema\":1,\"pos\":{\"x\":1.5,\"y\":-2}}\n"), 96)
-	f.Add([]byte(strings.Repeat("x", 300)+"\nok\n"), 16)
-	f.Add([]byte("tail with no newline"), 64)
-	f.Add([]byte("\n\n\r\n"), 4)
-	f.Add([]byte("abc\r\n"+strings.Repeat("y", 100)), 3)
-	f.Fuzz(func(t *testing.T, data []byte, max int) {
+	f.Add([]byte("{\"recv\":1}\nshort\n"), 8, uint8(0))
+	f.Add([]byte("{\"recv\":9,\"sender\":2,\"t_ms\":5,\"rssi\":-70,\"schema\":1,\"pos\":{\"x\":1.5,\"y\":-2}}\n"), 96, uint8(1))
+	f.Add([]byte(strings.Repeat("x", 300)+"\nok\n"), 16, uint8(2))
+	f.Add([]byte("tail with no newline"), 64, uint8(1))
+	f.Add([]byte("\n\n\r\n"), 4, uint8(0))
+	f.Add([]byte("abc\r\n"+strings.Repeat("y", 100)), 3, uint8(2))
+	f.Add([]byte("a\rb\r\r\n\rc\r"), 2, uint8(1))
+	f.Add([]byte(strings.Repeat("0123456789\r\n", 20)), 10, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, max int, mode uint8) {
 		max = 1 + ((max%128)+128)%128
-		s := NewLineScanner(bytes.NewReader(data), max)
-		delivered := 0
-		for s.Scan() {
-			if len(s.Bytes()) > max {
-				t.Fatalf("delivered %d-byte line past cap %d", len(s.Bytes()), max)
+		var r io.Reader = bytes.NewReader(data)
+		switch mode % 3 {
+		case 1:
+			r = iotest.OneByteReader(r)
+		case 2:
+			r = iotest.HalfReader(r)
+		}
+		var want []string
+		wantOversized := 0
+		frame := func(line []byte) {
+			if len(line) > max {
+				wantOversized++
+			} else {
+				want = append(want, string(line))
 			}
-			delivered++
-			if delivered > len(data)+1 {
+		}
+		rest := data
+		for {
+			i := bytes.IndexByte(rest, '\n')
+			if i < 0 {
+				break
+			}
+			frame(bytes.TrimSuffix(rest[:i], []byte("\r")))
+			rest = rest[i+1:]
+		}
+		if len(rest) > 0 {
+			frame(rest) // an unterminated tail keeps a trailing \r
+		}
+
+		s := NewLineScanner(r, max)
+		var got []string
+		for s.Scan() {
+			got = append(got, string(s.Bytes()))
+			if len(got) > len(data)+1 {
 				t.Fatal("scanner failed to make progress")
 			}
 		}
 		if err := s.Err(); err != nil {
 			t.Fatalf("in-memory stream surfaced error: %v", err)
 		}
-		frames := bytes.Count(data, []byte("\n"))
-		if tail := data[bytes.LastIndexByte(data, '\n')+1:]; len(tail) > 0 {
-			frames++
-		}
-		if got := delivered + int(s.Oversized()); got != frames {
-			t.Fatalf("frame conservation: %d delivered + %d oversized != %d frames",
-				delivered, s.Oversized(), frames)
+		if int(s.Oversized()) != wantOversized || !slices.Equal(got, want) {
+			t.Fatalf("cap %d, mode %d: delivered %q and %d oversized, want %q and %d",
+				max, mode%3, got, s.Oversized(), want, wantOversized)
 		}
 	})
 }

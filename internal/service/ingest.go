@@ -40,11 +40,14 @@ func putBatch(b *obsBatch) {
 // decode parses and validates one line (ParseObservation) and appends
 // it to the batch, which must have room.
 func (b *obsBatch) decode(line []byte) error {
-	o, err := parseObservation(line, &b.pos[len(b.obs)])
-	if err == nil {
-		b.obs = append(b.obs, o)
+	n := len(b.obs)
+	b.obs = b.obs[:n+1]
+	if err := parseObservation(line, &b.obs[n], &b.pos[n]); err != nil {
+		b.obs[n] = Observation{} // may hold a *Position json.Unmarshal made
+		b.obs = b.obs[:n]
+		return err
 	}
-	return err
+	return nil
 }
 
 // merge appends obs, which must fit, copying claimed positions into the

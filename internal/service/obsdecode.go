@@ -17,7 +17,7 @@ import (
 //
 // It never rejects a line. Whenever it is not certain that
 // encoding/json would decode the line to the same values it declines
-// (ok == false) and ParseObservation falls back to json.Unmarshal, so
+// (returns false) and ParseObservation falls back to json.Unmarshal, so
 // every error, and every value json would accept that the scanner does
 // not, comes from the general path. Reasons to decline include a
 // case-variant or escaped key (json matches keys case-insensitively),
@@ -38,60 +38,65 @@ const (
 	keysRequired = keyRecv | keySender | keyTMs | keyRSSI
 )
 
-// obsScanner is a cursor over one line.
-type obsScanner struct {
-	b []byte
-	i int
-}
+// The scanner's functions take the line and the offset to scan from and
+// return the offset past what they consumed, so the cursor stays in a
+// register from one token to the next rather than in memory.
 
-// scanObservation decodes line if it is a canonical observation line;
-// false means "not decided here", never "malformed". A claimed position
-// goes into *pos, or into a new Position when pos is nil. Validation
-// (negative t_ms, schema range, non-finite values) is left to the
-// caller, which applies it to both paths alike.
-func scanObservation(line []byte, pos *Position) (Observation, bool) {
-	var o Observation
+// scanObservation decodes the line b into *o if it is a canonical
+// observation line; false means "not decided here", never "malformed",
+// and leaves *o undefined. A claimed position goes into *pos, or into a
+// new Position when pos is nil. Validation (negative t_ms, schema
+// range, non-finite values) is left to the caller, which applies it to
+// both paths alike.
+func scanObservation(b []byte, o *Observation, pos *Position) bool {
+	*o = Observation{}
 	var seen uint8
 	var x, y float64
-	s := obsScanner{b: line}
-	if !s.next('{') {
-		return Observation{}, false
+	i, ok := next(b, 0, '{')
+	if !ok {
+		return false
 	}
-	for more := true; more; more = s.next(',') {
-		k, ok := s.key()
-		if !ok {
-			return Observation{}, false
+	for more := true; more; i, more = next(b, i, ',') {
+		var k []byte
+		if k, i, ok = key(b, i); !ok {
+			return false
 		}
 		var bit uint8
 		switch string(k) {
 		case "recv":
-			bit, ok = keyRecv, s.readUint32(&o.Recv)
+			bit = keyRecv
+			i, ok = readUint32(b, i, &o.Recv)
 		case "sender":
-			bit, ok = keySender, s.readUint32(&o.Sender)
+			bit = keySender
+			i, ok = readUint32(b, i, &o.Sender)
 		case "t_ms":
-			bit, ok = keyTMs, s.readInt64(&o.TMs)
+			bit = keyTMs
+			i, ok = readInt64(b, i, &o.TMs)
 		case "rssi":
-			bit, ok = keyRSSI, s.readFloat(&o.RSSI)
+			bit = keyRSSI
+			i, ok = readFloat(b, i, &o.RSSI)
 		case "schema":
 			var v int64
-			bit, ok = keySchema, s.readInt64(&v)
+			bit = keySchema
+			i, ok = readInt64(b, i, &v)
 			o.Schema = int(v)
 			ok = ok && int64(o.Schema) == v
 		case "pos":
-			bit, ok = keyPos, s.position(&x, &y)
+			bit = keyPos
+			i, ok = position(b, i, &x, &y)
 		default:
-			return Observation{}, false
+			return false
 		}
 		if !ok || seen&bit != 0 {
-			return Observation{}, false
+			return false
 		}
 		seen |= bit
 	}
-	if !s.next('}') || seen&keysRequired != keysRequired {
-		return Observation{}, false
+	if i, ok = next(b, i, '}'); !ok || seen&keysRequired != keysRequired {
+		return false
 	}
-	if s.skipSpace(); s.i != len(s.b) {
-		return Observation{}, false
+	if skipSpace(b, i) != len(b) {
+		return false
 	}
 	if seen&keyPos != 0 {
 		if pos == nil {
@@ -100,7 +105,7 @@ func scanObservation(line []byte, pos *Position) (Observation, bool) {
 		*pos = Position{X: x, Y: y}
 		o.Pos = pos
 	}
-	return o, true
+	return true
 }
 
 // newPosition is ParseObservation's one allocation on a schema-1 line,
@@ -112,195 +117,213 @@ func scanObservation(line []byte, pos *Position) (Observation, bool) {
 func newPosition() *Position { return new(Position) }
 
 // position decodes a pos object holding exactly one x and one y.
-func (s *obsScanner) position(x, y *float64) bool {
-	if !s.next('{') {
-		return false
+func position(b []byte, i int, x, y *float64) (int, bool) {
+	i, ok := next(b, i, '{')
+	if !ok {
+		return i, false
 	}
 	var seen uint8
-	for more := true; more; more = s.next(',') {
-		k, ok := s.key()
-		if !ok {
-			return false
+	for more := true; more; i, more = next(b, i, ',') {
+		var k []byte
+		if k, i, ok = key(b, i); !ok {
+			return i, false
 		}
 		var bit uint8
 		switch string(k) {
 		case "x":
-			bit, ok = 1, s.readFloat(x)
+			bit = 1
+			i, ok = readFloat(b, i, x)
 		case "y":
-			bit, ok = 2, s.readFloat(y)
+			bit = 2
+			i, ok = readFloat(b, i, y)
 		default:
-			return false
+			return i, false
 		}
 		if !ok || seen&bit != 0 {
-			return false
+			return i, false
 		}
 		seen |= bit
 	}
-	return seen == 3 && s.next('}')
+	i, ok = next(b, i, '}')
+	return i, ok && seen == 3
 }
 
-// skipSpace advances past JSON whitespace.
-func (s *obsScanner) skipSpace() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
+// skipSpace returns the offset of the first non-whitespace byte at or
+// after i. Every whitespace byte is at most ' ', so a canonical line,
+// which has none, costs one compare.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && b[i] <= ' ' {
+		switch b[i] {
 		case ' ', '\t', '\n', '\r':
-			s.i++
+			i++
 		default:
-			return
+			return i
 		}
 	}
+	return i
 }
 
 // next skips whitespace and consumes c if it comes next.
-func (s *obsScanner) next(c byte) bool {
-	s.skipSpace()
-	if s.i < len(s.b) && s.b[s.i] == c {
-		s.i++
-		return true
+func next(b []byte, i int, c byte) (int, bool) {
+	i = skipSpace(b, i)
+	if i < len(b) && b[i] == c {
+		return i + 1, true
 	}
-	return false
+	return i, false
 }
 
 // key consumes `"name":` and returns name's raw bytes. Escapes are not
 // decoded: a name holding a backslash matches no field, so the line
 // falls back.
-func (s *obsScanner) key() ([]byte, bool) {
-	if !s.next('"') {
-		return nil, false
+func key(b []byte, i int) ([]byte, int, bool) {
+	i, ok := next(b, i, '"')
+	if !ok {
+		return nil, i, false
 	}
-	start := s.i
-	for s.i < len(s.b) && s.b[s.i] != '"' {
-		s.i++
+	start := i
+	for i < len(b) && b[i] != '"' {
+		i++
 	}
-	if s.i == len(s.b) {
-		return nil, false
+	if i == len(b) {
+		return nil, i, false
 	}
-	k := s.b[start:s.i]
-	s.i++
-	return k, s.next(':')
+	k := b[start:i]
+	i, ok = next(b, i+1, ':')
+	return k, i, ok
 }
 
+// A num is what number learns about a token in its one pass over it.
+type num struct {
+	// m is the token's digits read as one integer, the point dropped:
+	// the value is m / 10^frac. It is exact while digits <= 19.
+	m uint64
+	// digits counts the token's digits but an integer part of 0, and
+	// frac those after the point; an exponent part counts in neither.
+	// digits is the significant-digit count, except that it also counts
+	// a fraction's leading zeros. frac <= digits, so digits <= 19 keeps
+	// m exact and 10^frac in the tables below.
+	digits, frac int
+	neg          bool // a leading minus
+	exp          bool // an exponent part, which m leaves out
+}
+
+// integer reports whether the token has neither a fraction nor an
+// exponent part.
+func (n *num) integer() bool { return n.frac == 0 && !n.exp }
+
 // number consumes one token matching the JSON number grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and reports whether it
-// is an integer (no fraction or exponent). What follows the token is the
-// caller's to check.
-func (s *obsScanner) number() (tok []byte, integer, ok bool) {
-	s.skipSpace()
-	b, i := s.b, s.i
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, reading each of its
+// digits once, and returns the token's offset and the offset past it.
+// What follows the token is the caller's to check.
+func number(b []byte, i int, n *num) (start, end int, ok bool) {
+	i = skipSpace(b, i)
+	start = i
+	*n = num{}
 	if i < len(b) && b[i] == '-' {
+		n.neg = true
 		i++
 	}
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i+1)
+		j := i
+		n.m, i = accumDigits(b, i, 0)
+		n.digits = i - j
 	default:
-		return nil, false, false
+		return start, i, false
 	}
-	integer = true
 	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return nil, false, false
+		j := i + 1
+		if n.m, i = accumDigits(b, j, n.m); i == j {
+			return start, i, false
 		}
-		i, integer = j, false
+		n.frac = i - j
+		n.digits += n.frac
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		j := skipDigits(b, i)
-		if j == i {
-			return nil, false, false
+		j := i
+		if _, i = accumDigits(b, j, 0); i == j {
+			return start, i, false
 		}
-		i, integer = j, false
+		n.exp = true
 	}
-	tok, s.i = b[s.i:i], i
-	return tok, integer, true
+	return start, i, true
 }
 
-// skipDigits returns the index of the first non-digit at or after i.
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+// accumDigits reads the run of digits at b[i:] onto the end of m in
+// base 10, wrapping past 2^64, and returns the new m and the index of
+// the first non-digit.
+func accumDigits(b []byte, i int, m uint64) (uint64, int) {
+	for ; i < len(b); i++ {
+		c := b[i] - '0'
+		if c > 9 {
+			break
+		}
+		m = m*10 + uint64(c)
 	}
-	return i
+	return m, i
 }
 
 // readUint32 decodes a non-negative integer that fits in 32 bits, the
 // values json decodes into a vanet.NodeID.
-func (s *obsScanner) readUint32(dst *vanet.NodeID) bool {
-	tok, integer, ok := s.number()
-	if !ok || !integer || tok[0] == '-' || len(tok) > 10 {
-		return false
+func readUint32(b []byte, i int, dst *vanet.NodeID) (int, bool) {
+	var n num
+	_, i, ok := number(b, i, &n)
+	// 10 digits always fit a uint64.
+	if !ok || !n.integer() || n.neg || n.digits > 10 || n.m > math.MaxUint32 {
+		return i, false
 	}
-	v := digitsValue(tok)
-	if v > math.MaxUint32 {
-		return false
-	}
-	*dst = vanet.NodeID(v)
-	return true
+	*dst = vanet.NodeID(n.m)
+	return i, true
 }
 
 // readInt64 decodes an integer that fits in 64 bits, the values json
 // decodes into an int64 (and, on 64-bit platforms, an int).
-func (s *obsScanner) readInt64(dst *int64) bool {
-	tok, integer, ok := s.number()
-	if !ok || !integer {
-		return false
-	}
-	neg := tok[0] == '-'
-	if neg {
-		tok = tok[1:]
-	}
+func readInt64(b []byte, i int, dst *int64) (int, bool) {
+	var n num
+	_, i, ok := number(b, i, &n)
 	// 19 digits always fit a uint64 magnitude; 20 never fit an int64.
-	if len(tok) > 19 {
-		return false
+	if !ok || !n.integer() || n.digits > 19 {
+		return i, false
 	}
-	mag := digitsValue(tok)
 	switch {
-	case neg && mag <= 1<<63:
-		*dst = -int64(mag)
-	case !neg && mag <= math.MaxInt64:
-		*dst = int64(mag)
+	case n.neg && n.m <= 1<<63:
+		*dst = -int64(n.m)
+	case !n.neg && n.m <= math.MaxInt64:
+		*dst = int64(n.m)
 	default:
-		return false
+		return i, false
 	}
-	return true
-}
-
-// digitsValue is the value of an all-digit token of at most 19 digits.
-func digitsValue(tok []byte) uint64 {
-	var v uint64
-	for _, c := range tok {
-		v = v*10 + uint64(c-'0')
-	}
-	return v
+	return i, true
 }
 
 // readFloat decodes a number to the float64 strconv.ParseFloat returns,
 // as json does, once the token has passed the JSON grammar that
 // ParseFloat alone does not enforce (it also takes hex, "inf" and
-// "nan"). decimalFloat computes the common case directly; the rest goes
-// to ParseFloat, whose error — overflow to ±Inf — declines, leaving
-// json's own error to the fallback.
-func (s *obsScanner) readFloat(dst *float64) bool {
-	tok, _, ok := s.number()
+// "nan"). decimalFloat converts the common case from what number
+// accumulated; the rest goes to ParseFloat, whose error — overflow to
+// ±Inf — declines, leaving json's own error to the fallback.
+func readFloat(b []byte, i int, dst *float64) (int, bool) {
+	var n num
+	start, i, ok := number(b, i, &n)
 	if !ok {
-		return false
+		return i, false
 	}
-	if v, ok := decimalFloat(tok); ok {
+	if v, ok := decimalFloat(&n); ok {
 		*dst = v
-		return true
+		return i, true
 	}
-	v, err := strconv.ParseFloat(string(tok), 64)
+	v, err := strconv.ParseFloat(string(b[start:i]), 64)
 	if err != nil {
-		return false
+		return i, false
 	}
 	*dst = v
-	return true
+	return i, true
 }
 
 // Powers of ten up to 1e19, exact as float64s and as uint64s.
@@ -311,46 +334,26 @@ var (
 		1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 )
 
-// decimalFloat converts a JSON number token of at most 19 digits and
-// without an exponent part to the nearest float64, ties to even: the
-// value strconv.ParseFloat returns. It reports false for any other
-// token. json.Marshal writes a float64 in this form, in at most 17
-// significant digits, unless it is below 1e-6 or from 1e21 up;
-// ParseFloat spends most of a line's decode time re-reading such
-// tokens.
-func decimalFloat(tok []byte) (float64, bool) {
-	neg := tok[0] == '-'
-	if neg {
-		tok = tok[1:]
-	}
-	if len(tok) > 20 {
+// decimalFloat converts a number of at most 19 digits and without an
+// exponent part to the nearest float64, ties to even: the value
+// strconv.ParseFloat returns. It reports false for any other number.
+// json.Marshal writes a float64 in this form, in at most 17 significant
+// digits, unless it is below 1e-6 or from 1e21 up; ParseFloat spends
+// most of a line's decode time re-reading such tokens.
+func decimalFloat(n *num) (float64, bool) {
+	if n.exp || n.digits > 19 {
 		return 0, false
-	}
-	var m uint64 // at most 19 digits, so m < 1e19 < 2^64
-	exp, digits := 0, 0
-	for i, c := range tok {
-		if c == '.' {
-			exp = i + 1 - len(tok)
-			continue
-		}
-		if c-'0' > 9 {
-			return 0, false // an exponent part
-		}
-		m = m*10 + uint64(c-'0')
-		digits++
 	}
 	var f float64
 	switch {
-	case digits > 19:
-		return 0, false
-	case m == 0:
-	case m <= 1<<53:
+	case n.m == 0:
+	case n.m <= 1<<53:
 		// Both operands are exact, so the division rounds once.
-		f = float64(m) / float64pow10[-exp]
+		f = float64(n.m) / float64pow10[n.frac]
 	default:
-		f = divPow10(m, -exp)
+		f = divPow10(n.m, n.frac)
 	}
-	if neg {
+	if n.neg {
 		f = -f
 	}
 	return f, true

@@ -21,6 +21,16 @@ var canonicalObservationLines = []string{
 	`{"recv":1,"sender":2,"t_ms":0,"rssi":-70,"schema":2}`,
 	`{"rssi":-70,"pos":{"y":1,"x":-0},"t_ms":5,"sender":2,"recv":1}`,
 	`{"recv":1,"sender":2,"t_ms":0,"rssi":1e-400,"pos":{"x":0.1e+1,"y":2E-1}}`,
+	// Campaign beacons as json.Marshal writes them: 17-digit floats past
+	// 2^53 take divPow10, shorter ones a float division.
+	`{"recv":6,"sender":10,"t_ms":100,"rssi":-78.71473932592077,"schema":1,"pos":{"x":264.14068494828473,"y":-10.799999999999999}}`,
+	`{"recv":3,"sender":10004,"t_ms":59900,"rssi":-62.70509791043159,"schema":1,"pos":{"x":-0.30000000000000004,"y":1000.0000000000001}}`,
+	// 19 significant digits convert directly, 20 go to ParseFloat.
+	`{"recv":1,"sender":2,"t_ms":1,"rssi":-9999999999.999999999,"pos":{"x":1234567890123456789,"y":0.1234567890123456789}}`,
+	`{"recv":1,"sender":2,"t_ms":1,"rssi":-99999999999.999999999,"pos":{"x":12345678901234567890,"y":1.2345678901234567891}}`,
+	// Leading zeros of a fraction are not significant digits, but they
+	// count towards its length: 19 places convert directly, 21 do not.
+	`{"recv":1,"sender":2,"t_ms":1,"rssi":-0.0000000000000000001,"pos":{"x":0.000123,"y":-0.000000000000000001234}}`,
 }
 
 // fallbackObservationLines each carry one reason for the fast path to
@@ -78,8 +88,8 @@ func TestScanObservationDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := scanObservation(line, nil)
-		if !ok {
+		var got Observation
+		if !scanObservation(line, &got, nil) {
 			t.Errorf("fast path declined json.Marshal output %s", line)
 			continue
 		}
@@ -92,12 +102,12 @@ func TestScanObservationDecisions(t *testing.T) {
 		}
 	}
 	for _, line := range canonicalObservationLines {
-		if _, ok := scanObservation([]byte(line), nil); !ok {
+		if !scanObservation([]byte(line), new(Observation), nil) {
 			t.Errorf("fast path declined canonical line %q", line)
 		}
 	}
 	for _, line := range fallbackObservationLines {
-		if _, ok := scanObservation([]byte(line), nil); ok {
+		if scanObservation([]byte(line), new(Observation), nil) {
 			t.Errorf("fast path decoded fallback line %q", line)
 		}
 	}
@@ -156,8 +166,9 @@ func BenchmarkParseObservation(b *testing.B) {
 	}
 }
 
-// TestDecimalFloatMatchesParseFloat checks the direct float path bit
-// for bit against strconv.ParseFloat: shortest forms of random float64s
+// TestDecimalFloatMatchesParseFloat checks the direct float path, a
+// token scanned by number and converted by decimalFloat, bit for bit
+// against strconv.ParseFloat: shortest forms of random float64s
 // at several magnitudes (what json.Marshal writes), random digit
 // strings, and exact ties between two float64s.
 func TestDecimalFloatMatchesParseFloat(t *testing.T) {
@@ -165,7 +176,11 @@ func TestDecimalFloatMatchesParseFloat(t *testing.T) {
 	handled := 0
 	check := func(tok string) {
 		t.Helper()
-		got, ok := decimalFloat([]byte(tok))
+		var n num
+		if _, end, ok := number([]byte(tok), 0, &n); !ok || end != len(tok) {
+			return // not a JSON number, so never converted
+		}
+		got, ok := decimalFloat(&n)
 		if !ok {
 			return
 		}

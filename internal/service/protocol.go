@@ -88,27 +88,28 @@ var ErrMalformed = errors.New("service: malformed observation")
 // hand-written scanner without allocating; any other line goes through
 // json.Unmarshal. Both paths yield the same values and the same errors.
 func ParseObservation(line []byte) (Observation, error) {
-	return parseObservation(line, nil)
-}
-
-// parseObservation is ParseObservation with a canonical line's claimed
-// position decoded into *pos, or into a new Position when pos is nil.
-func parseObservation(line []byte, pos *Position) (Observation, error) {
-	o, ok := scanObservation(line, pos)
-	if !ok {
-		var err error
-		if o, err = unmarshalObservation(line); err != nil {
-			return Observation{}, err
-		}
-	}
-	if err := validateObservation(o); err != nil {
+	var o Observation
+	if err := parseObservation(line, &o, nil); err != nil {
 		return Observation{}, err
 	}
 	return o, nil
 }
 
+// parseObservation is ParseObservation decoding into *o, which is
+// undefined after an error, and a canonical line's claimed position into
+// *pos, or into a new Position when pos is nil.
+func parseObservation(line []byte, o *Observation, pos *Position) error {
+	if !scanObservation(line, o, pos) {
+		var err error
+		if *o, err = unmarshalObservation(line); err != nil {
+			return err
+		}
+	}
+	return validateObservation(o)
+}
+
 // validateObservation applies the checks JSON decoding alone does not.
-func validateObservation(o Observation) error {
+func validateObservation(o *Observation) error {
 	if o.TMs < 0 {
 		return fmt.Errorf("%w: negative t_ms %d", ErrMalformed, o.TMs)
 	}

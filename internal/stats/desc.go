@@ -37,21 +37,6 @@ func Variance(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// SampleVariance returns the unbiased sample variance of xs (divides by n-1),
-// or 0 for samples shorter than two elements.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	mu := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - mu
-		sum += d * d
-	}
-	return sum / float64(len(xs)-1)
-}
-
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))

@@ -42,16 +42,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestSampleVariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := SampleVariance(xs); !almostEqual(got, 2.5, 1e-12) {
-		t.Errorf("SampleVariance = %v, want 2.5", got)
-	}
-	if got := SampleVariance([]float64{7}); got != 0 {
-		t.Errorf("SampleVariance(single) = %v, want 0", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	lo, hi, err := MinMax([]float64{3, -2, 8, 0})
 	if err != nil {
